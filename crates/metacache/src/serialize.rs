@@ -153,10 +153,20 @@ pub fn load(dir: impl AsRef<Path>, name: &str) -> Result<Arc<Database>, MetaCach
     let meta: MetaFile = serde_json::from_slice(&meta_json)
         .map_err(|e| MetaCacheError::Format(format!("metadata parse error: {e}")))?;
 
-    let mut partitions = Vec::with_capacity(meta.partition_count);
+    // Every saved partition has a target list, so the reservation is
+    // bounded by what the metadata file actually holds; a corrupt count
+    // past it fails when its cache file is missing.
+    let mut partitions = Vec::with_capacity(meta.partition_count.min(meta.partition_targets.len()));
     for i in 0..meta.partition_count {
         let path = dir.join(format!("{name}.cache{i}"));
         let file = std::fs::File::open(&path)?;
+        // Bytes not yet read: every count below is checked against it
+        // before anything is reserved, so a corrupt length is a format
+        // error instead of an allocation the process cannot survive.
+        let mut left = file.metadata()?.len().saturating_sub(16);
+        let corrupt = |what: String| {
+            MetaCacheError::Format(format!("{}: {what} exceeds the file size", path.display()))
+        };
         let mut reader = BufReader::new(file);
         let mut magic = [0u8; 8];
         reader.read_exact(&mut magic)?;
@@ -169,6 +179,10 @@ pub fn load(dir: impl AsRef<Path>, name: &str) -> Result<Arc<Database>, MetaCach
         let mut count_bytes = [0u8; 8];
         reader.read_exact(&mut count_bytes)?;
         let bucket_count = u64::from_le_bytes(count_bytes);
+        // Each bucket takes at least its 8-byte feature + length header.
+        if bucket_count > left / 8 {
+            return Err(corrupt(format!("bucket count {bucket_count}")));
+        }
         let mut buckets = Vec::with_capacity(bucket_count as usize);
         for _ in 0..bucket_count {
             let mut feature_bytes = [0u8; 4];
@@ -177,6 +191,12 @@ pub fn load(dir: impl AsRef<Path>, name: &str) -> Result<Arc<Database>, MetaCach
             let mut len_bytes = [0u8; 4];
             reader.read_exact(&mut len_bytes)?;
             let len = u32::from_le_bytes(len_bytes);
+            // Each location takes exactly 8 bytes.
+            left = left.saturating_sub(8);
+            if u64::from(len) > left / 8 {
+                return Err(corrupt(format!("bucket length {len}")));
+            }
+            left -= 8 * u64::from(len);
             let mut bucket = Vec::with_capacity(len as usize);
             for _ in 0..len {
                 let mut loc_bytes = [0u8; 8];
@@ -286,11 +306,25 @@ mod tests {
         // Write a meta file with a partition whose cache file is garbage.
         let (db, _) = build_db();
         save(&db, &dir, "bad").unwrap();
-        std::fs::write(dir.join("bad.cache0"), b"not a cache file").unwrap();
+        let cache = dir.join("bad.cache0");
+        let valid = std::fs::read(&cache).unwrap();
+        std::fs::write(&cache, b"not a cache file").unwrap();
         assert!(matches!(
             load(&dir, "bad"),
             Err(MetaCacheError::Format(_)) | Err(MetaCacheError::Io(_))
         ));
+        // A bucket count the file cannot hold — reserving it up front
+        // would abort the process — …
+        let mut huge_count = valid.clone();
+        huge_count[8..16].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        std::fs::write(&cache, &huge_count).unwrap();
+        assert!(matches!(load(&dir, "bad"), Err(MetaCacheError::Format(_))));
+        // … and a first bucket whose locations run past the end of file.
+        let mut long_bucket = valid;
+        let past_eof = (long_bucket.len() as u32 - 24) / 8 + 1;
+        long_bucket[20..24].copy_from_slice(&past_eof.to_le_bytes());
+        std::fs::write(&cache, &long_bucket).unwrap();
+        assert!(matches!(load(&dir, "bad"), Err(MetaCacheError::Format(_))));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

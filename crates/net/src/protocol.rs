@@ -17,7 +17,7 @@
 //!
 //! A connection starts with a version handshake ([`Frame::Hello`] →
 //! [`Frame::HelloAck`]), then carries any number of pipelined
-//! [`Frame::Classify`] requests answered in order by [`Frame::Results`]
+//! [`Frame::ClassifyPacked`] requests answered in order by [`Frame::Results`]
 //! frames. Fatal conditions (bad magic, malformed payload, a worker panic)
 //! are reported with a [`Frame::Error`] frame before the connection closes.
 //!
@@ -35,55 +35,11 @@ use metacache::{Candidate, Classification};
 /// Protocol magic carried by the [`Frame::Hello`] frame: `"MCNT"`.
 pub const MAGIC: u32 = 0x4D43_4E54;
 
-/// Current protocol version. Version 5 adds the live-reload vocabulary —
-/// the [`Frame::Reload`] admin request and its [`Frame::ReloadAck`] answer,
-/// plus a database-generation tag trailing [`Frame::Results`] and
-/// [`Frame::CandidateResults`] so clients detect a mid-stream reference
-/// upgrade; version 4 added the scatter-gather vocabulary
-/// ([`Frame::Candidates`] / [`Frame::CandidateResults`], which let a router
-/// merge per-shard top-hit lists instead of final classifications);
-/// version 3 added the fault-tolerance vocabulary
-/// ([`Frame::Ping`]/[`Frame::Pong`] liveness probes, the typed
-/// [`Frame::Busy`] overload answer and the optional `Hello` auth token);
-/// version 2 added the packed request encoding ([`Frame::ClassifyPacked`]).
+/// The protocol version. A server answers a `Hello` announcing any other
+/// version with [`ErrorCode::UnsupportedVersion`] and closes; a client
+/// treats a `HelloAck` announcing any other version the same way. There is
+/// no negotiation: every connection speaks exactly this protocol.
 pub const PROTOCOL_VERSION: u16 = 5;
-
-/// Oldest protocol version a server still accepts. The connection speaks
-/// `min(client version, PROTOCOL_VERSION)` — a v1 peer gets a bit-identical
-/// v1 conversation and a future (higher-versioned) client is downgraded to
-/// [`PROTOCOL_VERSION`]; only announcements below this floor are rejected
-/// with [`ErrorCode::UnsupportedVersion`].
-pub const MIN_PROTOCOL_VERSION: u16 = 1;
-
-/// First protocol version that understands [`Frame::ClassifyPacked`]. On a
-/// connection negotiated below this, the packed frame type is rejected as
-/// [`ErrorCode::UnknownFrameType`].
-pub const PACKED_MIN_VERSION: u16 = 2;
-
-/// First protocol version that speaks the fault-tolerance vocabulary:
-/// [`Frame::Ping`]/[`Frame::Pong`], [`Frame::Busy`] and the optional
-/// `Hello` auth token. On a connection negotiated below this, those frame
-/// types are rejected as [`ErrorCode::UnknownFrameType`] and the server
-/// falls back to the v1/v2 behaviour (no shedding answer, no keepalives) —
-/// old peers interoperate unchanged.
-pub const LIVENESS_MIN_VERSION: u16 = 3;
-
-/// First protocol version that speaks the scatter-gather vocabulary:
-/// [`Frame::Candidates`] / [`Frame::CandidateResults`]. On a connection
-/// negotiated below this, those frame types are rejected as
-/// [`ErrorCode::UnknownFrameType`] — classification-only peers interoperate
-/// unchanged.
-pub const CANDIDATES_MIN_VERSION: u16 = 4;
-
-/// First protocol version that speaks the live-reload vocabulary:
-/// [`Frame::Reload`] / [`Frame::ReloadAck`] and the database-generation tag
-/// trailing [`Frame::Results`] / [`Frame::CandidateResults`]. On a
-/// connection negotiated below this, the reload frames are rejected as
-/// [`ErrorCode::UnknownFrameType`] and results are encoded without the tag —
-/// byte-identical to the v4 encoding, so pre-v5 peers interoperate
-/// unchanged (a server may still hot-swap under them; they just cannot see
-/// the generation move).
-pub const RELOAD_MIN_VERSION: u16 = 5;
 
 /// The `request_id` a [`Frame::Busy`] carries when the *connection* (not an
 /// individual request) was refused — the server closes right after sending
@@ -102,37 +58,34 @@ pub mod frame_type {
     pub const HELLO: u8 = 1;
     /// Server → client: handshake accepted, credits granted.
     pub const HELLO_ACK: u8 = 2;
-    /// Client → server: one classification request (a batch of reads).
-    pub const CLASSIFY: u8 = 3;
     /// Server → client: ordered classifications of one request.
     pub const RESULTS: u8 = 4;
     /// Either direction: fatal error; the connection closes after it.
     pub const ERROR: u8 = 5;
     /// Client → server: graceful end of stream (equivalent to a clean EOF).
     pub const GOODBYE: u8 = 6;
-    /// Client → server: one classification request with 2-bit packed
-    /// sequences (protocol version ≥ 2).
+    /// Client → server: one classification request (a batch of reads,
+    /// sequences 2-bit packed).
     pub const CLASSIFY_PACKED: u8 = 7;
-    /// Client → server: liveness probe (protocol version ≥ 3).
+    /// Client → server: liveness probe.
     pub const PING: u8 = 8;
     /// Server → client: answer to a [`PING`], echoing its nonce.
     pub const PONG: u8 = 9;
     /// Server → client: the request (or connection) was shed under
-    /// overload; retry after the hinted delay (protocol version ≥ 3).
+    /// overload; retry after the hinted delay.
     pub const BUSY: u8 = 10;
     /// Client → server: one candidate query (a batch of reads whose merged
     /// top-hit candidate lists, not final classifications, are wanted) —
-    /// the scatter leg of a router (protocol version ≥ 4). The payload is
-    /// identical to [`CLASSIFY_PACKED`].
+    /// the scatter leg of a router. The payload is identical to
+    /// [`CLASSIFY_PACKED`].
     pub const CANDIDATES: u8 = 11;
     /// Server → client: per-read candidate lists answering a
-    /// [`CANDIDATES`] request (protocol version ≥ 4).
+    /// [`CANDIDATES`] request.
     pub const CANDIDATE_RESULTS: u8 = 12;
-    /// Client → server: hot-swap the serving database (admin request,
-    /// protocol version ≥ 5).
+    /// Client → server: hot-swap the serving database (admin request).
     pub const RELOAD: u8 = 13;
     /// Server → client: answer to a [`RELOAD`], carrying the new database
-    /// generation (protocol version ≥ 5).
+    /// generation.
     pub const RELOAD_ACK: u8 = 14;
 }
 
@@ -348,39 +301,32 @@ pub enum Frame {
         batch_records: u32,
         /// Requested in-flight request credit (`0` = server default).
         max_in_flight: u32,
-        /// Optional pre-shared auth token (protocol version ≥ 3). When
-        /// `None`, the payload is byte-identical to a v1/v2 `Hello`; a
-        /// token rides as one trailing str16, which pre-v3 servers reject
-        /// as trailing garbage — authenticating requires a v3 server.
+        /// Optional pre-shared auth token, one trailing str16. Without it
+        /// the payload is the fixed 14-byte layout every version shares,
+        /// so a server can always read an old peer's version and refuse it
+        /// cleanly.
         auth_token: Option<String>,
     },
     /// Handshake accepted (server → client).
     HelloAck {
         /// The server's protocol version.
         version: u16,
-        /// Granted credit: the client may keep at most this many `Classify`
-        /// frames unanswered.
+        /// Granted credit: the client may keep at most this many requests
+        /// unanswered.
         credits: u32,
         /// Records per engine batch the session was opened with.
         batch_records: u32,
         /// The serving backend's label (`"host"`, `"gpu-sim"`, …).
         backend: String,
     },
-    /// One classification request (client → server), sequences verbatim.
-    Classify {
-        /// Client-chosen id echoed by the matching [`Frame::Results`].
-        /// Must increase strictly monotonically within a connection.
-        request_id: u64,
-        /// The reads to classify.
-        reads: Vec<SequenceRecord>,
-    },
-    /// One classification request with 2-bit packed sequences (protocol
-    /// version ≥ 2). Decodes to exactly the same reads as the equivalent
-    /// [`Frame::Classify`] — the packing is byte-exact (non-ACGT bytes ride
-    /// in an exception side list) — at roughly a quarter of the wire bytes
-    /// for ACGT-dominated payloads.
+    /// One classification request (client → server) with 2-bit packed
+    /// sequences. The packing is byte-exact — non-ACGT bytes ride in an
+    /// exception side list, and an exception-dense record falls back to
+    /// verbatim bytes — at roughly a quarter of the raw sequence bytes for
+    /// ACGT-dominated payloads.
     ClassifyPacked {
         /// Client-chosen id echoed by the matching [`Frame::Results`].
+        /// Must increase strictly monotonically within a connection.
         request_id: u64,
         /// The reads to classify.
         reads: Vec<SequenceRecord>,
@@ -392,11 +338,10 @@ pub enum Frame {
         /// One entry per read, in the request's read order.
         entries: Vec<ResultEntry>,
         /// The database generation the whole request was classified
-        /// against (protocol version ≥ 5). When `None`, the payload is
-        /// byte-identical to a v1–v4 `Results`; the tag rides as one
-        /// trailing u64, mirroring the `Hello` auth-token extension. A
-        /// server never answers one request with mixed generations — a
-        /// request caught mid-swap is replayed entirely on the new epoch.
+        /// against, one trailing u64. A server always sends it and never
+        /// answers one request with mixed generations — a request caught
+        /// mid-swap is replayed entirely on the new epoch. `None` decodes
+        /// from a frame without the tag, which a client rejects.
         generation: Option<u64>,
     },
     /// Fatal error; the sender closes the connection after this frame.
@@ -408,9 +353,9 @@ pub enum Frame {
     },
     /// Graceful end of stream (client → server).
     Goodbye,
-    /// Liveness probe (client → server, protocol version ≥ 3): an
-    /// idle-but-alive streaming session pings within the server's idle
-    /// timeout to keep its connection off the idle reaper.
+    /// Liveness probe (client → server): an idle-but-alive streaming
+    /// session pings within the server's idle timeout to keep its
+    /// connection off the idle reaper.
     Ping {
         /// Client-chosen value echoed by the matching [`Frame::Pong`].
         nonce: u64,
@@ -422,20 +367,20 @@ pub enum Frame {
         /// The nonce of the `Ping` this answers.
         nonce: u64,
     },
-    /// Overload answer (server → client, protocol version ≥ 3): the
-    /// request identified by `request_id` was shed instead of queued —
-    /// or, with [`BUSY_CONNECTION`], the whole connection was refused and
-    /// closes after this frame.
+    /// Overload answer (server → client): the request identified by
+    /// `request_id` was shed instead of queued — or, with
+    /// [`BUSY_CONNECTION`], the whole connection was refused and closes
+    /// after this frame.
     Busy {
         /// The shed request's id, or [`BUSY_CONNECTION`].
         request_id: u64,
         /// Server-suggested minimum delay before retrying, milliseconds.
         retry_after_ms: u32,
     },
-    /// One candidate query (client → server, protocol version ≥ 4): like
-    /// [`Frame::ClassifyPacked`] — the payload encoding is byte-identical —
-    /// but the server answers with each read's merged top-hit candidate
-    /// list ([`Frame::CandidateResults`]) instead of final classifications.
+    /// One candidate query (client → server): like [`Frame::ClassifyPacked`]
+    /// — the payload encoding is byte-identical — but the server answers
+    /// with each read's merged top-hit candidate list
+    /// ([`Frame::CandidateResults`]) instead of final classifications.
     /// This is the scatter leg of the shard router: candidate lists from
     /// disjoint shards merge losslessly, final classifications do not.
     Candidates {
@@ -447,7 +392,7 @@ pub enum Frame {
         reads: Vec<SequenceRecord>,
     },
     /// Ordered candidate lists of one [`Frame::Candidates`] request
-    /// (server → client, protocol version ≥ 4).
+    /// (server → client).
     CandidateResults {
         /// The id of the request these lists answer.
         request_id: u64,
@@ -456,14 +401,14 @@ pub enum Frame {
         /// deterministic tie-break and truncated to the server database's
         /// `top_candidates` capacity.
         candidates: Vec<Vec<Candidate>>,
-        /// The database generation the lists were produced from (protocol
-        /// version ≥ 5, trailing-optional exactly like
-        /// [`Frame::Results`]). A router refuses to merge legs reporting
-        /// different generations — that would be a torn mixed-epoch merge.
+        /// The database generation the lists were produced from, trailing
+        /// exactly like [`Frame::Results`]'s. A router refuses to merge
+        /// legs reporting different generations — that would be a torn
+        /// mixed-epoch merge.
         generation: Option<u64>,
     },
-    /// Hot-swap request (client → server, protocol version ≥ 5): rebuild /
-    /// reload the serving database and swap it in with zero downtime.
+    /// Hot-swap request (client → server): rebuild / reload the serving
+    /// database and swap it in with zero downtime.
     /// Answered — in receive order, after every earlier request of the
     /// connection — by a [`Frame::ReloadAck`] carrying the new generation,
     /// or by [`Frame::Error`] if the server has no reload hook configured
@@ -533,7 +478,6 @@ impl Frame {
         match self {
             Self::Hello { .. } => frame_type::HELLO,
             Self::HelloAck { .. } => frame_type::HELLO_ACK,
-            Self::Classify { .. } => frame_type::CLASSIFY,
             Self::ClassifyPacked { .. } => frame_type::CLASSIFY_PACKED,
             Self::Results { .. } => frame_type::RESULTS,
             Self::Error { .. } => frame_type::ERROR,
@@ -579,9 +523,6 @@ impl Frame {
                 put_u32(out, *batch_records);
                 put_str16(out, backend)?;
             }
-            Self::Classify { request_id, reads } => {
-                encode_classify_payload(out, *request_id, reads)?;
-            }
             Self::ClassifyPacked { request_id, reads } => {
                 encode_classify_packed_payload(out, *request_id, reads)?;
             }
@@ -603,8 +544,6 @@ impl Frame {
                     put_u32(out, e.best_target);
                     put_u32(out, e.best_hits);
                 }
-                // v5 generation tag: one trailing u64, absent pre-v5 (the
-                // bare payload stays bit-compatible with v1–v4).
                 if let Some(generation) = generation {
                     put_u64(out, *generation);
                 }
@@ -658,8 +597,7 @@ impl Frame {
                 version: cursor.u16()?,
                 batch_records: cursor.u32()?,
                 max_in_flight: cursor.u32()?,
-                // A v3 peer may append one str16 auth token; the bare
-                // 14-byte payload stays bit-compatible with v1/v2.
+                // An optional trailing str16 auth token.
                 auth_token: if cursor.is_empty() {
                     None
                 } else {
@@ -672,13 +610,13 @@ impl Frame {
                 batch_records: cursor.u32()?,
                 backend: cursor.str16()?,
             },
-            frame_type::CLASSIFY | frame_type::CLASSIFY_PACKED | frame_type::CANDIDATES => {
+            frame_type::CLASSIFY_PACKED | frame_type::CANDIDATES => {
                 let mut reads = Vec::new();
                 let request_id = decode_classify_into(frame_type, payload, &mut reads)?;
-                return Ok(match frame_type {
-                    frame_type::CLASSIFY => Self::Classify { request_id, reads },
-                    frame_type::CLASSIFY_PACKED => Self::ClassifyPacked { request_id, reads },
-                    _ => Self::Candidates { request_id, reads },
+                return Ok(if frame_type == frame_type::CLASSIFY_PACKED {
+                    Self::ClassifyPacked { request_id, reads }
+                } else {
+                    Self::Candidates { request_id, reads }
                 });
             }
             frame_type::RESULTS => {
@@ -697,8 +635,6 @@ impl Frame {
                 Self::Results {
                     request_id,
                     entries,
-                    // A v5 server appends one trailing generation u64; the
-                    // bare payload stays bit-compatible with v1–v4.
                     generation: cursor.trailing_generation()?,
                 }
             }
@@ -764,39 +700,8 @@ fn seal_frame(mut out: Vec<u8>) -> Result<Vec<u8>, ProtocolError> {
     Ok(out)
 }
 
-/// The one `Classify` payload encoder, shared by [`Frame::encode`] (owned
-/// frame) and [`encode_classify`] (borrowed slice).
-fn encode_classify_payload(
-    out: &mut Vec<u8>,
-    request_id: u64,
-    reads: &[SequenceRecord],
-) -> Result<(), ProtocolError> {
-    put_u64(out, request_id);
-    put_u32(
-        out,
-        u32::try_from(reads.len()).map_err(|_| ProtocolError::Malformed("read count"))?,
-    );
-    for read in reads {
-        encode_record(out, read, true)?;
-    }
-    Ok(())
-}
-
-/// Encode a [`Frame::Classify`] directly from a borrowed read slice — the
-/// v1 client hot path, byte-identical to building an owned frame and calling
-/// [`Frame::encode`] but without cloning the reads first.
-pub fn encode_classify(
-    request_id: u64,
-    reads: &[SequenceRecord],
-) -> Result<Vec<u8>, ProtocolError> {
-    let mut out = vec![0u8; 4];
-    out.push(frame_type::CLASSIFY);
-    encode_classify_payload(&mut out, request_id, reads)?;
-    seal_frame(out)
-}
-
 /// Encode a [`Frame::ClassifyPacked`] directly from a borrowed read slice —
-/// the v2 client hot path. Sequences are 2-bit packed straight into the
+/// the client hot path. Sequences are 2-bit packed straight into the
 /// frame buffer (no intermediate encoded copy per read); decoding the frame
 /// reproduces the reads byte for byte.
 pub fn encode_classify_packed(
@@ -830,37 +735,11 @@ fn encode_classify_packed_payload(
     Ok(())
 }
 
-/// A read on the wire: `header` (u16 length + UTF-8), `sequence`
-/// (u32 length + bytes), `quality` (u32 length + bytes), then a mate flag
-/// byte and — for paired reads — the mate encoded the same way (mates must
-/// not nest further). A non-empty quality string must match the sequence
-/// length (FASTQ semantics); mismatches fail to encode and fail to decode.
-fn encode_record(
-    out: &mut Vec<u8>,
-    record: &SequenceRecord,
-    allow_mate: bool,
-) -> Result<(), ProtocolError> {
-    if !record.quality.is_empty() && record.quality.len() != record.sequence.len() {
-        return Err(ProtocolError::Malformed("quality/sequence length mismatch"));
-    }
-    put_str16(out, &record.header)?;
-    put_bytes32(out, &record.sequence)?;
-    put_bytes32(out, &record.quality)?;
-    match (&record.mate, allow_mate) {
-        (None, _) => out.push(0),
-        (Some(_), false) => return Err(ProtocolError::NestedMate),
-        (Some(mate), true) => {
-            out.push(1);
-            encode_record(out, mate, false)?;
-        }
-    }
-    Ok(())
-}
-
 /// A read in the packed encoding: `header` (str16), `seq_len` (u32), a
 /// [`record_flags`] byte, the sequence body, a quality string of exactly
-/// `seq_len` bytes iff [`record_flags::HAS_QUALITY`], then the mate flag
-/// byte as in the verbatim encoding.
+/// `seq_len` bytes iff [`record_flags::HAS_QUALITY`], then a mate flag
+/// byte (`0` = none, `1` = a mate follows, encoded the same way; mates
+/// must not nest further).
 ///
 /// With [`record_flags::PACKED`] the body is `seq_len.div_ceil(4)` bytes of
 /// 2-bit codes ([`mc_kmer::pack_2bit`] layout) followed — iff
@@ -930,7 +809,7 @@ fn encode_record_packed(
     Ok(())
 }
 
-/// Decode a `Classify` / `ClassifyPacked` payload straight into a reusable
+/// Decode a `ClassifyPacked` / `Candidates` payload straight into a reusable
 /// record vector, returning the request id. Existing records (and their
 /// header/sequence/quality buffers, and mate boxes) are refilled in place;
 /// the vector is truncated or grown to the decoded read count. This is the
@@ -945,13 +824,11 @@ pub fn decode_classify_into(
     payload: &[u8],
     records: &mut Vec<SequenceRecord>,
 ) -> Result<u64, ProtocolError> {
-    let packed = match frame_type {
-        frame_type::CLASSIFY => false,
-        // A `Candidates` request carries the exact `ClassifyPacked`
-        // payload, so the server's zero-copy ingest handles both tags.
-        frame_type::CLASSIFY_PACKED | frame_type::CANDIDATES => true,
-        other => return Err(ProtocolError::UnknownFrameType(other)),
-    };
+    // A `Candidates` request carries the exact `ClassifyPacked` payload, so
+    // the server's zero-copy ingest handles both tags.
+    if frame_type != frame_type::CLASSIFY_PACKED && frame_type != frame_type::CANDIDATES {
+        return Err(ProtocolError::UnknownFrameType(frame_type));
+    }
     let mut cursor = Cursor::new(payload);
     let request_id = cursor.u64()?;
     let count = cursor.u32()? as usize;
@@ -962,7 +839,7 @@ pub fn decode_classify_into(
         if records.len() <= i {
             records.push(SequenceRecord::default());
         }
-        decode_record_into(&mut cursor, packed, true, &mut records[i])?;
+        decode_record_into(&mut cursor, true, &mut records[i])?;
     }
     records.truncate(count);
     cursor.finish()?;
@@ -971,28 +848,17 @@ pub fn decode_classify_into(
 
 fn decode_record_into(
     cursor: &mut Cursor<'_>,
-    packed: bool,
     allow_mate: bool,
     record: &mut SequenceRecord,
 ) -> Result<(), ProtocolError> {
     let spare_mate = record.clear_for_reuse();
     cursor.str16_into(&mut record.header)?;
-    if packed {
-        decode_packed_sequence(cursor, record)?;
-    } else {
-        let sequence = cursor.bytes32()?;
-        record.sequence.extend_from_slice(sequence);
-        let quality = cursor.bytes32()?;
-        if !quality.is_empty() && quality.len() != record.sequence.len() {
-            return Err(ProtocolError::Malformed("quality/sequence length mismatch"));
-        }
-        record.quality.extend_from_slice(quality);
-    }
+    decode_packed_sequence(cursor, record)?;
     match cursor.u8()? {
         0 => {}
         1 if allow_mate => {
             let mut mate = spare_mate.unwrap_or_default();
-            decode_record_into(cursor, packed, false, &mut mate)?;
+            decode_record_into(cursor, false, &mut mate)?;
             record.mate = Some(mate);
         }
         1 => return Err(ProtocolError::NestedMate),
@@ -1248,13 +1114,6 @@ fn put_str16(out: &mut Vec<u8>, s: &str) -> Result<(), ProtocolError> {
     Ok(())
 }
 
-fn put_bytes32(out: &mut Vec<u8>, bytes: &[u8]) -> Result<(), ProtocolError> {
-    let len = u32::try_from(bytes.len()).map_err(|_| ProtocolError::Malformed("bytes too long"))?;
-    put_u32(out, len);
-    out.extend_from_slice(bytes);
-    Ok(())
-}
-
 /// A checked payload reader: every accessor fails with
 /// [`ProtocolError::Truncated`] instead of panicking on short input.
 struct Cursor<'a> {
@@ -1295,11 +1154,6 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn bytes32(&mut self) -> Result<&'a [u8], ProtocolError> {
-        let len = self.u32()? as usize;
-        self.take(len)
-    }
-
     fn str16(&mut self) -> Result<String, ProtocolError> {
         let mut out = String::new();
         self.str16_into(&mut out)?;
@@ -1316,7 +1170,7 @@ impl<'a> Cursor<'a> {
         Ok(())
     }
 
-    /// The optional v5 database-generation tag: exactly 8 trailing bytes.
+    /// The database-generation tag: exactly 8 trailing bytes.
     /// Any other non-empty remainder is left for [`Cursor::finish`] to
     /// reject as trailing bytes — a complete untagged frame followed by
     /// garbage is malformed, not truncated.
@@ -1379,14 +1233,6 @@ mod tests {
         let mut paired =
             SequenceRecord::with_quality("r1 pair", b"ACGT".to_vec(), b"IIII".to_vec());
         paired.mate = Some(Box::new(SequenceRecord::new("r1/2", b"GGTA".to_vec())));
-        roundtrip(Frame::Classify {
-            request_id: 42,
-            reads: vec![
-                SequenceRecord::new("plain", b"ACGTACGT".to_vec()),
-                SequenceRecord::new("", Vec::new()),
-                paired.clone(),
-            ],
-        });
         roundtrip(Frame::ClassifyPacked {
             request_id: 42,
             reads: vec![
@@ -1543,7 +1389,7 @@ mod tests {
         let borrowed: Vec<&[Candidate]> = lists.iter().map(Vec::as_slice).collect();
         encode_candidate_results_into(&mut hot, 77, &borrowed, None).unwrap();
         assert_eq!(hot, owned);
-        // The tagged (v5) form also agrees with the owned encoder.
+        // The tagged form also agrees with the owned encoder.
         let owned_tagged = Frame::CandidateResults {
             request_id: 77,
             candidates: lists.clone(),
@@ -1583,9 +1429,10 @@ mod tests {
         );
     }
 
-    /// The v3 `Hello` without a token must stay byte-identical to the
-    /// v1/v2 wire layout (fixed 14-byte payload) — old servers keep
-    /// accepting new clients that don't authenticate.
+    /// A `Hello` without a token keeps the fixed 14-byte layout that every
+    /// protocol version (v1 included) shares: magic and version sit at the
+    /// same offsets, so the server can read any peer's version and answer
+    /// an old one with `UnsupportedVersion` rather than a decode error.
     #[test]
     fn tokenless_hello_is_bit_compatible_with_v1() {
         let bytes = Frame::Hello {
@@ -1643,14 +1490,6 @@ mod tests {
             SequenceRecord::new("r0", b"ACGTACGT".to_vec()),
             SequenceRecord::with_quality("r1", b"GGTA".to_vec(), b"IIII".to_vec()),
         ];
-        let borrowed = encode_classify(99, &reads).unwrap();
-        let owned = Frame::Classify {
-            request_id: 99,
-            reads: reads.clone(),
-        }
-        .encode()
-        .unwrap();
-        assert_eq!(borrowed, owned);
         let borrowed_packed = encode_classify_packed(99, &reads).unwrap();
         let owned_packed = Frame::ClassifyPacked {
             request_id: 99,
@@ -1661,46 +1500,65 @@ mod tests {
         assert_eq!(borrowed_packed, owned_packed);
     }
 
-    /// The headline property: both encodings of the same reads decode to the
-    /// same reads, and the packed frame is about 4× smaller on ACGT-heavy
-    /// payloads.
+    /// Bytes of a request frame carrying `reads` with every sequence
+    /// verbatim: envelope, request id and count, then per record the
+    /// header, a u32 length, the flag byte, sequence, quality and mate flag
+    /// — the size the packed encoding is measured against.
+    fn verbatim_frame_len(reads: &[SequenceRecord]) -> usize {
+        fn record(r: &SequenceRecord) -> usize {
+            // str16 length (2) + seq_len (4) + flags (1) + mate flag (1).
+            let fixed = 8;
+            fixed
+                + r.header.len()
+                + r.sequence.len()
+                + r.quality.len()
+                + r.mate.as_deref().map_or(0, record)
+        }
+        4 + 1 + 8 + 4 + reads.iter().map(record).sum::<usize>()
+    }
+
+    /// The headline property: records that pack and records that fall back
+    /// to verbatim bytes decode to the same reads, and an ACGT-heavy frame
+    /// is about 4× smaller than its all-verbatim size.
     #[test]
     fn packed_and_verbatim_decode_identically_and_packed_is_smaller() {
         let genome: Vec<u8> = (0..4000).map(|i| b"ACGT"[(i * 31 + 1) % 4]).collect();
         let reads: Vec<SequenceRecord> = (0..16)
             .map(|i| SequenceRecord::new(format!("r{i}"), genome[i * 200..i * 200 + 200].to_vec()))
             .collect();
-        let verbatim = encode_classify(7, &reads).unwrap();
         let packed = encode_classify_packed(7, &reads).unwrap();
-        let from_verbatim = match Frame::decode(verbatim[4], &verbatim[5..]).unwrap() {
-            Frame::Classify { reads, .. } => reads,
-            other => panic!("unexpected {other:?}"),
-        };
         let from_packed = match Frame::decode(packed[4], &packed[5..]).unwrap() {
             Frame::ClassifyPacked { reads, .. } => reads,
             other => panic!("unexpected {other:?}"),
         };
-        assert_eq!(from_verbatim, reads);
         assert_eq!(from_packed, reads);
+        let verbatim = verbatim_frame_len(&reads);
         assert!(
-            packed.len() * 3 < verbatim.len(),
+            packed.len() * 3 < verbatim,
             "packed {} bytes vs verbatim {} bytes",
             packed.len(),
-            verbatim.len()
+            verbatim
         );
+        // A frame mixing packed and verbatim-fallback records (all-N
+        // sequences never pack) decodes to the same reads too.
+        let mut mixed = reads;
+        mixed.insert(3, SequenceRecord::new("all n", vec![b'N'; 64]));
+        mixed.push(SequenceRecord::new("lower", b"acgtacgtnnnn".to_vec()));
+        let bytes = encode_classify_packed(8, &mixed).unwrap();
+        let mut decoded = Vec::new();
+        decode_classify_into(bytes[4], &bytes[5..], &mut decoded).unwrap();
+        assert_eq!(decoded, mixed);
     }
 
     /// Exception-dense sequences fall back to verbatim bytes per record:
-    /// the packed frame never inflates past the verbatim frame by more than
-    /// the per-record flag byte.
+    /// the packed frame never inflates past the all-verbatim frame.
     #[test]
     fn packed_encoding_never_inflates_on_hostile_payloads() {
         let reads: Vec<SequenceRecord> = (0..8)
             .map(|i| SequenceRecord::new(format!("n{i}"), vec![b'N'; 100 + i]))
             .collect();
-        let verbatim = encode_classify(1, &reads).unwrap();
         let packed = encode_classify_packed(1, &reads).unwrap();
-        assert!(packed.len() <= verbatim.len());
+        assert!(packed.len() <= verbatim_frame_len(&reads));
         let decoded = match Frame::decode(packed[4], &packed[5..]).unwrap() {
             Frame::ClassifyPacked { reads, .. } => reads,
             other => panic!("unexpected {other:?}"),
@@ -1716,8 +1574,8 @@ mod tests {
                 .with_mate(SequenceRecord::new("q1/2", b"TTACNN".to_vec())),
         ];
         for bytes in [
-            encode_classify(5, &reads).unwrap(),
             encode_classify_packed(5, &reads).unwrap(),
+            encode_candidates(5, &reads).unwrap(),
         ] {
             // Pre-populate the reusable buffer with stale garbage records.
             let mut buffer: Vec<SequenceRecord> = (0..4)
@@ -1746,8 +1604,8 @@ mod tests {
         let bad = SequenceRecord::with_quality("r", b"ACGTACGT".to_vec(), b"III".to_vec());
         // Encoding refuses to put the malformed record on the wire …
         for result in [
-            encode_classify(1, std::slice::from_ref(&bad)),
             encode_classify_packed(1, std::slice::from_ref(&bad)),
+            encode_candidates(1, std::slice::from_ref(&bad)),
         ] {
             assert_eq!(
                 result,
@@ -1756,19 +1614,21 @@ mod tests {
         }
         // … including when it hides in a mate.
         let carrier = SequenceRecord::new("ok", b"ACGT".to_vec()).with_mate(bad);
-        assert!(encode_classify(1, std::slice::from_ref(&carrier)).is_err());
         assert!(encode_classify_packed(1, std::slice::from_ref(&carrier)).is_err());
-        // And decoding rejects a hand-crafted v1 frame carrying one.
+        // The wire quality is exactly `seq_len` bytes, so a hand-crafted
+        // frame carrying a shorter one does not decode.
         let mut payload = Vec::new();
         put_u64(&mut payload, 1); // request id
         put_u32(&mut payload, 1); // read count
         put_str16(&mut payload, "r").unwrap();
-        put_bytes32(&mut payload, b"ACGTACGT").unwrap();
-        put_bytes32(&mut payload, b"III").unwrap();
+        put_u32(&mut payload, 8); // seq_len
+        payload.push(record_flags::HAS_QUALITY); // verbatim body + quality
+        payload.extend_from_slice(b"ACGTACGT");
+        payload.extend_from_slice(b"III");
         payload.push(0); // no mate
         assert_eq!(
-            Frame::decode(frame_type::CLASSIFY, &payload),
-            Err(ProtocolError::Malformed("quality/sequence length mismatch"))
+            Frame::decode(frame_type::CLASSIFY_PACKED, &payload),
+            Err(ProtocolError::Truncated)
         );
     }
 
@@ -1840,7 +1700,7 @@ mod tests {
         let mut reused = vec![0xAB; 64]; // stale content must be overwritten
         encode_results_into(&mut reused, 31, &classifications, None).unwrap();
         assert_eq!(reused, framed);
-        // The tagged (v5) form also agrees with the owned encoder.
+        // The tagged form also agrees with the owned encoder.
         let framed_tagged = Frame::Results {
             request_id: 31,
             entries,
@@ -1850,9 +1710,7 @@ mod tests {
         .unwrap();
         encode_results_into(&mut reused, 31, &classifications, Some(4)).unwrap();
         assert_eq!(reused, framed_tagged);
-        // The trailing tag is exactly eight bytes — a pre-v5 decoder would
-        // see them as trailing garbage, which is why the tag is gated on
-        // the negotiated version, never sent unconditionally.
+        // The trailing tag is exactly eight bytes.
         assert_eq!(framed_tagged.len(), framed.len() + 8);
     }
 
@@ -1928,7 +1786,7 @@ mod tests {
 
     #[test]
     fn truncated_payloads_are_rejected() {
-        let bytes = Frame::Classify {
+        let bytes = Frame::ClassifyPacked {
             request_id: 9,
             reads: vec![SequenceRecord::new("r", b"ACGT".to_vec())],
         }
@@ -1958,6 +1816,17 @@ mod tests {
             Frame::decode(200, &[]),
             Err(ProtocolError::UnknownFrameType(200))
         );
+        // Tag 3 (the retired verbatim request) is unknown like any other.
+        let packed =
+            encode_classify_packed(1, &[SequenceRecord::new("r", b"ACGT".to_vec())]).unwrap();
+        assert_eq!(
+            Frame::decode(3, &packed[5..]),
+            Err(ProtocolError::UnknownFrameType(3))
+        );
+        assert_eq!(
+            decode_classify_into(3, &packed[5..], &mut Vec::new()),
+            Err(ProtocolError::UnknownFrameType(3))
+        );
     }
 
     #[test]
@@ -1968,7 +1837,7 @@ mod tests {
         let mut read = SequenceRecord::new("r", b"ACGT".to_vec());
         read.mate = Some(Box::new(mate));
         assert_eq!(
-            Frame::Classify {
+            Frame::ClassifyPacked {
                 request_id: 1,
                 reads: vec![read]
             }

@@ -179,13 +179,13 @@ impl RetryClient {
         Ok(())
     }
 
-    /// [`NetClient::classify_batch`] with retries: one request/response
-    /// exchange, resent (reconnecting if needed) until it succeeds or the
-    /// policy is exhausted.
-    pub fn classify_batch(
+    /// Run one request/response exchange on the live connection, resent
+    /// (reconnecting if needed) until it succeeds or the policy is
+    /// exhausted.
+    fn exchange<T>(
         &mut self,
-        reads: &[SequenceRecord],
-    ) -> Result<Vec<Classification>, NetError> {
+        mut op: impl FnMut(&mut NetClient) -> Result<T, NetError>,
+    ) -> Result<T, NetError> {
         let mut attempt = 0u32;
         loop {
             let mut conn = match self.take_conn() {
@@ -195,10 +195,10 @@ impl RetryClient {
                     continue;
                 }
             };
-            match conn.classify_batch(reads) {
-                Ok(results) => {
+            match op(&mut conn) {
+                Ok(out) => {
                     self.conn = Some(conn);
-                    return Ok(results);
+                    return Ok(out);
                 }
                 Err(e) => {
                     if !conn.is_dead() {
@@ -212,70 +212,27 @@ impl RetryClient {
         }
     }
 
+    /// [`NetClient::classify_batch`] with retries: one request/response
+    /// exchange, resent (reconnecting if needed) until it succeeds or the
+    /// policy is exhausted.
+    pub fn classify_batch(
+        &mut self,
+        reads: &[SequenceRecord],
+    ) -> Result<Vec<Classification>, NetError> {
+        self.exchange(|conn| conn.classify_batch(reads))
+    }
+
     /// [`NetClient::candidates_batch`] with retries — the router's
-    /// per-shard scatter leg. Replay is safe for exactly the reason
-    /// classification replay is: a candidate query is deterministic and
-    /// read-only, and its lists are only handed to the caller once the
+    /// per-shard scatter leg: the candidate lists plus the database
+    /// generation they were computed under. Replay is safe for exactly the
+    /// reason classification replay is: a candidate query is deterministic
+    /// and read-only, and its lists are only handed to the caller once the
     /// whole exchange succeeds.
     pub fn candidates_batch(
         &mut self,
         reads: &[SequenceRecord],
-    ) -> Result<Vec<Vec<Candidate>>, NetError> {
-        let mut attempt = 0u32;
-        loop {
-            let mut conn = match self.take_conn() {
-                Ok(conn) => conn,
-                Err(e) => {
-                    self.backoff(&mut attempt, e)?;
-                    continue;
-                }
-            };
-            match conn.candidates_batch(reads) {
-                Ok(lists) => {
-                    self.conn = Some(conn);
-                    return Ok(lists);
-                }
-                Err(e) => {
-                    if !conn.is_dead() {
-                        self.conn = Some(conn);
-                    }
-                    self.backoff(&mut attempt, e)?;
-                }
-            }
-        }
-    }
-
-    /// [`NetClient::candidates_batch_tagged`] with retries: the candidate
-    /// lists plus the database generation they were computed under (`None`
-    /// from a pre-v5 server). A scatter-gather router compares the tags of
-    /// its shard legs and re-queries on disagreement, so the tag must ride
-    /// with the lists through the retry layer.
-    pub fn candidates_batch_tagged(
-        &mut self,
-        reads: &[SequenceRecord],
-    ) -> Result<(Vec<Vec<Candidate>>, Option<u64>), NetError> {
-        let mut attempt = 0u32;
-        loop {
-            let mut conn = match self.take_conn() {
-                Ok(conn) => conn,
-                Err(e) => {
-                    self.backoff(&mut attempt, e)?;
-                    continue;
-                }
-            };
-            match conn.candidates_batch_tagged(reads) {
-                Ok(tagged) => {
-                    self.conn = Some(conn);
-                    return Ok(tagged);
-                }
-                Err(e) => {
-                    if !conn.is_dead() {
-                        self.conn = Some(conn);
-                    }
-                    self.backoff(&mut attempt, e)?;
-                }
-            }
-        }
+    ) -> Result<(Vec<Vec<Candidate>>, u64), NetError> {
+        self.exchange(|conn| conn.candidates_batch(reads))
     }
 
     /// [`NetClient::classify_iter`] with retries: stream reads through the

@@ -163,12 +163,7 @@ fn loopback_roundtrip_is_bit_identical_and_survives_disconnects() {
             .encode()
             .unwrap();
             stream.write_all(&hello).unwrap();
-            let classify = Frame::Classify {
-                request_id: 0,
-                reads: mixed_reads(40, 1),
-            }
-            .encode()
-            .unwrap();
+            let classify = protocol::encode_classify_packed(0, &mixed_reads(40, 1)).unwrap();
             // Send a truncated frame, then drop the connection entirely.
             stream.write_all(&classify[..classify.len() / 2]).unwrap();
             drop(stream);
@@ -286,41 +281,30 @@ fn malformed_input_gets_an_error_frame() {
             other => panic!("expected error frame, got {other:?}"),
         }
 
-        // A protocol version below the floor is rejected …
-        let mut stream = TcpStream::connect(addr).unwrap();
-        let bad_version = Frame::Hello {
-            magic: MAGIC,
-            version: 0,
-            batch_records: 0,
-            max_in_flight: 0,
-            auth_token: None,
+        // Any version but ours — older, newer, zero, the maximum — is
+        // refused with UnsupportedVersion, and the connection closes.
+        for version in [0, PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1, u16::MAX] {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            let bad_version = Frame::Hello {
+                magic: MAGIC,
+                version,
+                batch_records: 0,
+                max_in_flight: 0,
+                auth_token: None,
+            }
+            .encode()
+            .unwrap();
+            stream.write_all(&bad_version).unwrap();
+            match protocol::read_frame(&mut stream).unwrap().unwrap() {
+                Frame::Error { code, .. } => {
+                    assert_eq!(code, ErrorCode::UnsupportedVersion, "version {version}")
+                }
+                other => panic!("expected error frame for version {version}, got {other:?}"),
+            }
+            let mut rest = Vec::new();
+            stream.read_to_end(&mut rest).unwrap();
+            assert!(rest.is_empty(), "version {version}: connection stayed open");
         }
-        .encode()
-        .unwrap();
-        stream.write_all(&bad_version).unwrap();
-        match protocol::read_frame(&mut stream).unwrap().unwrap() {
-            Frame::Error { code, .. } => assert_eq!(code, ErrorCode::UnsupportedVersion),
-            other => panic!("expected error frame, got {other:?}"),
-        }
-
-        // … while a *future* client version is downgraded to ours, not
-        // rejected (min(client, server) negotiation).
-        let mut stream = TcpStream::connect(addr).unwrap();
-        let future_version = Frame::Hello {
-            magic: MAGIC,
-            version: PROTOCOL_VERSION + 7,
-            batch_records: 0,
-            max_in_flight: 0,
-            auth_token: None,
-        }
-        .encode()
-        .unwrap();
-        stream.write_all(&future_version).unwrap();
-        match protocol::read_frame(&mut stream).unwrap().unwrap() {
-            Frame::HelloAck { version, .. } => assert_eq!(version, PROTOCOL_VERSION),
-            other => panic!("expected downgraded HelloAck, got {other:?}"),
-        }
-        drop(stream);
 
         // Garbage after a valid handshake: unknown frame type.
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -348,6 +332,21 @@ fn malformed_input_gets_an_error_frame() {
         stream.read_to_end(&mut rest).unwrap();
         assert!(rest.is_empty());
 
+        // Tag 3, the retired verbatim request, is an unknown frame type.
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(&hello).unwrap();
+        protocol::read_frame(&mut stream).unwrap().unwrap();
+        let mut verbatim_tag = protocol::encode_classify_packed(0, &mixed_reads(3, 8)).unwrap();
+        verbatim_tag[4] = 3;
+        stream.write_all(&verbatim_tag).unwrap();
+        match protocol::read_frame(&mut stream).unwrap().unwrap() {
+            Frame::Error { code, .. } => assert_eq!(code, ErrorCode::UnknownFrameType),
+            other => panic!("expected error frame, got {other:?}"),
+        }
+        let mut rest = Vec::new();
+        stream.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty());
+
         // Non-monotonic request ids are rejected.
         let mut client = NetClient::connect(addr).unwrap();
         let reads = mixed_reads(4, 9);
@@ -358,14 +357,7 @@ fn malformed_input_gets_an_error_frame() {
         let mut stream = TcpStream::connect(addr).unwrap();
         stream.write_all(&hello).unwrap();
         protocol::read_frame(&mut stream).unwrap().unwrap();
-        let req = |id: u64| {
-            Frame::Classify {
-                request_id: id,
-                reads: reads.clone(),
-            }
-            .encode()
-            .unwrap()
-        };
+        let req = |id: u64| protocol::encode_classify_packed(id, &reads).unwrap();
         stream.write_all(&req(5)).unwrap();
         protocol::read_frame(&mut stream).unwrap().unwrap();
         stream.write_all(&req(5)).unwrap();
@@ -522,12 +514,11 @@ fn handshake_negotiates_credits_and_batch_size() {
     engine.shutdown();
 }
 
-/// The tentpole acceptance check: a v1 (verbatim) client against a v2
-/// server classifies bit-identically to a v2 (packed) client and to an
-/// in-process session — the packed encoding changes bandwidth, never
-/// results — and the packed request frames are measurably smaller.
+/// Packed requests classify bit-identically to an in-process session —
+/// the 2-bit encoding changes bandwidth, never results — and the request
+/// frames are smaller than the raw records they carry.
 #[test]
-fn v1_and_v2_clients_are_bit_identical_to_in_process() {
+fn packed_clients_are_bit_identical_to_in_process() {
     let (db, _) = shared_database();
     let engine = test_engine(Arc::clone(&db));
     // Mixed reads: genome/foreign/short/empty, paired, N runs, all-N.
@@ -549,76 +540,24 @@ fn v1_and_v2_clients_are_bit_identical_to_in_process() {
         scope.spawn(|| server.run().unwrap());
         let _guard = ShutdownOnDrop(handle.clone());
 
-        let mut v2 = NetClient::connect(addr).unwrap();
-        assert_eq!(v2.protocol_version(), protocol::PROTOCOL_VERSION);
-        let mut v1 = NetClient::connect_with(
-            addr,
-            ClientConfig {
-                version: 1,
-                ..ClientConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(v1.protocol_version(), 1);
+        let mut client = NetClient::connect(addr).unwrap();
+        assert_eq!(client.classify_batch(&reads).unwrap(), in_process);
+        let (streamed, _) = client.classify_iter(reads.iter().cloned()).unwrap();
+        assert_eq!(streamed, in_process);
 
-        assert_eq!(v2.classify_batch(&reads).unwrap(), in_process);
-        assert_eq!(v1.classify_batch(&reads).unwrap(), in_process);
-        let (v2_stream, _) = v2.classify_iter(reads.iter().cloned()).unwrap();
-        let (v1_stream, _) = v1.classify_iter(reads.iter().cloned()).unwrap();
-        assert_eq!(v2_stream, in_process);
-        assert_eq!(v1_stream, in_process);
-
-        // The wire encodings decode to the same reads, and the packed one
-        // is smaller even on this mixed (partly hostile) read set.
-        let verbatim = protocol::encode_classify(0, &reads).unwrap();
+        // The packed frame is smaller than the raw record bytes even on
+        // this mixed (partly hostile) read set.
+        fn raw(r: &SequenceRecord) -> usize {
+            r.header.len() + r.sequence.len() + r.quality.len() + r.mate.as_deref().map_or(0, raw)
+        }
         let packed = protocol::encode_classify_packed(0, &reads).unwrap();
-        assert!(packed.len() < verbatim.len());
+        assert!(packed.len() < reads.iter().map(raw).sum::<usize>());
 
-        drop((v1, v2));
+        drop(client);
         handle.shutdown();
     });
     let stats = engine.shutdown();
     assert_eq!(stats.worker_panics, 0);
-}
-
-/// A v1 connection must not accept v2 packed frames: the server answers
-/// with an UnknownFrameType error, exactly what a genuine v1 server would
-/// say.
-#[test]
-fn packed_frames_on_a_v1_connection_are_rejected() {
-    let (db, _) = shared_database();
-    let engine = test_engine(Arc::clone(&db));
-    let server = NetServer::bind(&engine, "127.0.0.1:0").unwrap();
-    let handle = server.handle();
-    let addr = handle.local_addr();
-
-    std::thread::scope(|scope| {
-        scope.spawn(|| server.run().unwrap());
-        let _guard = ShutdownOnDrop(handle.clone());
-        let mut stream = TcpStream::connect(addr).unwrap();
-        let hello = Frame::Hello {
-            magic: MAGIC,
-            version: 1,
-            batch_records: 0,
-            max_in_flight: 0,
-            auth_token: None,
-        }
-        .encode()
-        .unwrap();
-        stream.write_all(&hello).unwrap();
-        match protocol::read_frame(&mut stream).unwrap().unwrap() {
-            Frame::HelloAck { version, .. } => assert_eq!(version, 1),
-            other => panic!("expected HelloAck, got {other:?}"),
-        }
-        let packed = protocol::encode_classify_packed(0, &mixed_reads(3, 8)).unwrap();
-        stream.write_all(&packed).unwrap();
-        match protocol::read_frame(&mut stream).unwrap().unwrap() {
-            Frame::Error { code, .. } => assert_eq!(code, ErrorCode::UnknownFrameType),
-            other => panic!("expected error frame, got {other:?}"),
-        }
-        handle.shutdown();
-    });
-    engine.shutdown();
 }
 
 /// Satellite regression: a peer dropping after part of the 4-byte length
@@ -718,9 +657,9 @@ fn oversized_server_limits_saturate_in_handshake() {
     engine.shutdown();
 }
 
-/// The v4 candidates exchange is bit-identical to in-process candidate
-/// queries: every list, entry and ordering matches `candidates_with`, and a
-/// pre-v4 connection cannot use the frame.
+/// The candidates exchange is bit-identical to in-process candidate
+/// queries: every list, entry and ordering matches `candidates_with`, and
+/// every answer is tagged with the serving database generation.
 #[test]
 fn candidates_over_the_wire_match_in_process() {
     let (db, _) = shared_database();
@@ -746,29 +685,17 @@ fn candidates_over_the_wire_match_in_process() {
             .collect();
 
         let mut client = NetClient::connect(addr).unwrap();
-        let got = client.candidates_batch(&reads).unwrap();
+        let (got, generation) = client.candidates_batch(&reads).unwrap();
         assert_eq!(got, expected);
+        assert_eq!(generation, engine.generation());
+        assert_eq!(client.database_generation(), Some(generation));
         // Interleaving with classification on the same connection works
         // (request ids keep increasing across both frame kinds).
         let classifications = client.classify_batch(&reads).unwrap();
         assert_eq!(classifications, classifier.classify_batch(&reads));
-        assert_eq!(client.candidates_batch(&reads[..5]).unwrap(), expected[..5]);
+        let (head, _) = client.candidates_batch(&reads[..5]).unwrap();
+        assert_eq!(head, expected[..5]);
         drop(client);
-
-        // A v3 connection refuses to send candidates locally.
-        let mut v3 = NetClient::connect_with(
-            addr,
-            ClientConfig {
-                version: 3,
-                ..ClientConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(matches!(
-            v3.candidates_batch(&reads[..2]),
-            Err(NetError::Protocol(_))
-        ));
-        drop(v3);
         handle.shutdown();
     });
     engine.shutdown();

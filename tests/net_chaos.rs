@@ -3,9 +3,8 @@
 //! stall) must leave the server serviceable — sessions reclaimed in
 //! bounded time, other connections unaffected, stats accounted — and the
 //! backoff-retry client must converge to results bit-identical to the
-//! in-process engine. Also covers the satellite features riding on
-//! protocol v3: pre-shared-token auth, Ping/Pong keepalive vs idle
-//! reaping, and `Busy` load shedding.
+//! in-process engine. Also covers pre-shared-token auth, Ping/Pong
+//! keepalive vs idle reaping, and `Busy` load shedding.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -369,7 +368,7 @@ fn slow_loris_and_partial_frame_stalls_are_reaped_in_bounded_time() {
     engine.shutdown();
 }
 
-/// v3 liveness: pings reset the idle reaper, so an idle-but-alive client
+/// Liveness: pings reset the idle reaper, so an idle-but-alive client
 /// outlives several idle windows; a silent one is reaped.
 #[test]
 fn pings_keep_idle_connection_alive_until_they_stop() {
@@ -414,8 +413,8 @@ fn pings_keep_idle_connection_alive_until_they_stop() {
     engine.shutdown();
 }
 
-/// Satellite: pre-shared-token auth — right token in, wrong token out (as
-/// a typed Unauthorized frame), tokens refused locally below v3.
+/// Satellite: pre-shared-token auth — right token in, wrong or absent
+/// token out (as a typed Unauthorized frame).
 #[test]
 fn auth_token_gates_the_handshake() {
     let (db, _) = shared_database();
@@ -464,17 +463,6 @@ fn auth_token_gates_the_handshake() {
             assert!(!err.is_retryable(), "auth rejection must not be retried");
         }
 
-        // A token on a v1/v2 announcement is refused before any bytes move.
-        let local = NetClient::connect_with(
-            addr,
-            ClientConfig {
-                version: 2,
-                auth_token: Some("open sesame".into()),
-                ..ClientConfig::default()
-            },
-        );
-        assert!(matches!(local, Err(NetError::Protocol(_))));
-
         handle.shutdown();
         let stats = runner.join().unwrap().unwrap();
         assert_eq!(stats.auth_failures, 2);
@@ -482,9 +470,9 @@ fn auth_token_gates_the_handshake() {
     engine.shutdown();
 }
 
-/// Load shedding: past `max_inflight_records`, a v3 request is answered
-/// with a request-level Busy (the connection survives); a v1 peer is never
-/// shed; past `max_connections`, the whole connection is refused.
+/// Load shedding: past `max_inflight_records`, a request is answered with
+/// a request-level Busy (the connection survives); past `max_connections`,
+/// the whole connection is refused.
 #[test]
 fn overload_is_shed_with_busy_frames() {
     let (db, _) = shared_database();
@@ -493,7 +481,6 @@ fn overload_is_shed_with_busy_frames() {
     // Exactly one negotiated request (the engine's batch is 8 records), so
     // it always lands over the 4-record cap in a single Busy answer.
     let big = genome_reads(8, 14);
-    let expected_big = Classifier::new(Arc::clone(&db)).classify_batch(&big);
 
     let engine = test_engine(Arc::clone(&db));
     let config = ServerConfig {
@@ -510,27 +497,14 @@ fn overload_is_shed_with_busy_frames() {
         let _guard = ShutdownOnDrop(handle.clone());
 
         // An 8-read request can never fit under the 4-record cap: shed.
-        let mut v3 = NetClient::connect(addr).unwrap();
-        match v3.classify_batch(&big) {
+        let mut client = NetClient::connect(addr).unwrap();
+        match client.classify_batch(&big) {
             Err(NetError::Busy { retry_after_ms }) => assert_eq!(retry_after_ms, 25),
             other => panic!("expected Busy, got {other:?}"),
         }
         // The same connection keeps working for requests under the cap.
-        assert_eq!(v3.classify_batch(&small).unwrap(), expected_small);
-        drop(v3);
-
-        // A v1 peer has no Busy vocabulary: the same oversized request is
-        // served with the legacy blocking backpressure instead.
-        let mut v1 = NetClient::connect_with(
-            addr,
-            ClientConfig {
-                version: 1,
-                ..ClientConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(v1.classify_batch(&big).unwrap(), expected_big);
-        drop(v1);
+        assert_eq!(client.classify_batch(&small).unwrap(), expected_small);
+        drop(client);
 
         // The retry client gives up on a permanently-shed request only
         // after its policy is exhausted.
@@ -938,7 +912,7 @@ fn dead_shard_leg_surfaces_typed_error_without_corrupting_healthy_leg() {
                     .to_vec()
             })
             .collect();
-        assert_eq!(direct.candidates_batch(&reads).unwrap(), expected_cands);
+        assert_eq!(direct.candidates_batch(&reads).unwrap().0, expected_cands);
         drop(direct);
 
         // Sessions drain on the router and the surviving shard.
@@ -1013,12 +987,7 @@ fn stalled_reader_is_bounded_and_torn_down_without_collateral() {
             victim.write_all(&hello_bytes()).unwrap();
             protocol::read_frame(&mut victim).unwrap().unwrap();
             for id in 1..=40u64 {
-                let frame = Frame::Classify {
-                    request_id: id,
-                    reads: victim_reads.clone(),
-                }
-                .encode()
-                .unwrap();
+                let frame = protocol::encode_classify_packed(id, victim_reads).unwrap();
                 // The server stops reading once gated; later writes may
                 // block until the write-stall teardown resets them.
                 if victim.write_all(&frame).is_err() {
@@ -1088,11 +1057,9 @@ fn pipelined_requests_return_bit_identical_per_request_results() {
         let mut burst = Vec::new();
         let mut offset = 0;
         for (i, &n) in sizes.iter().enumerate() {
-            let frame = Frame::Classify {
-                request_id: (i + 1) as u64,
-                reads: all_reads[offset..offset + n].to_vec(),
-            };
-            burst.extend_from_slice(&frame.encode().unwrap());
+            let frame =
+                protocol::encode_classify_packed((i + 1) as u64, &all_reads[offset..offset + n]);
+            burst.extend_from_slice(&frame.unwrap());
             offset += n;
             if i == 3 {
                 burst.extend_from_slice(&Frame::Ping { nonce: 0xF00D }.encode().unwrap());
@@ -1246,7 +1213,7 @@ fn reload_racing_rude_disconnects_leaves_server_serviceable() {
                 let got = client.classify_batch(&reads).unwrap();
                 let generation = client
                     .database_generation()
-                    .expect("a v5 server must tag its results");
+                    .expect("the server must tag its results");
                 let oracle = if generation % 2 == 1 { &db_b } else { &db_a };
                 let want = Classifier::new(Arc::clone(oracle)).classify_batch(&reads);
                 assert_eq!(
@@ -1316,11 +1283,9 @@ fn reload_mid_pipelined_burst_never_splits_a_request_across_generations() {
         let mut burst = Vec::new();
         let mut offset = 0;
         for (i, &n) in sizes.iter().enumerate() {
-            let frame = Frame::Classify {
-                request_id: (i + 1) as u64,
-                reads: all_reads[offset..offset + n].to_vec(),
-            };
-            burst.extend_from_slice(&frame.encode().unwrap());
+            let frame =
+                protocol::encode_classify_packed((i + 1) as u64, &all_reads[offset..offset + n]);
+            burst.extend_from_slice(&frame.unwrap());
             offset += n;
             if i == 2 {
                 burst.extend_from_slice(&Frame::Reload.encode().unwrap());
@@ -1339,7 +1304,7 @@ fn reload_mid_pipelined_burst_never_splits_a_request_across_generations() {
                     generation,
                 } => {
                     assert_eq!(request_id, (i + 1) as u64, "responses out of order");
-                    let generation = generation.expect("a v5 response must carry a generation tag");
+                    let generation = generation.expect("every response carries a generation tag");
                     let oracle = match generation {
                         0 => &db_a,
                         1 => &db_b,

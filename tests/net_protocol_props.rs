@@ -8,8 +8,8 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use mc_net::protocol::{
-    decode_classify_into, encode_classify, encode_classify_packed, read_frame, ErrorCode, Frame,
-    NetError, ProtocolError, ResultEntry, MAX_FRAME_LEN,
+    decode_classify_into, encode_candidates, encode_classify_packed, read_frame, record_flags,
+    ErrorCode, Frame, NetError, ProtocolError, ResultEntry, MAX_FRAME_LEN,
 };
 use mc_seqio::SequenceRecord;
 
@@ -98,15 +98,17 @@ proptest! {
                 record_from(header, sequence, quality, mate)
             })
             .collect();
-        let frame = Frame::Classify { request_id, reads };
+        let frame = Frame::ClassifyPacked { request_id, reads: reads.clone() };
+        prop_assert_eq!(roundtrip(&frame), frame);
+        let frame = Frame::Candidates { request_id, reads };
         prop_assert_eq!(roundtrip(&frame), frame);
     }
 
     /// The tentpole property: for any record set — `N` runs, lower case,
-    /// garbage bytes, empty reads, mates, qualities — the packed and the
-    /// verbatim encodings both round-trip byte-exactly to the same reads,
-    /// whether decoded through `Frame::decode` or through the server's
-    /// buffer-reusing `decode_classify_into`.
+    /// garbage bytes, empty reads, mates, qualities — records that pack and
+    /// records that fall back to verbatim bytes round-trip byte-exactly, in
+    /// both request frames, whether decoded through `Frame::decode` or
+    /// through the server's buffer-reusing `decode_classify_into`.
     #[test]
     fn packed_and_verbatim_roundtrip_bit_identically(
         request_id in any::<u64>(),
@@ -133,15 +135,15 @@ proptest! {
             })
             .collect();
 
-        let verbatim = encode_classify(request_id, &reads).unwrap();
         let packed = encode_classify_packed(request_id, &reads).unwrap();
+        let candidates = encode_candidates(request_id, &reads).unwrap();
 
-        for (bytes, expect_type) in [(&verbatim, 3u8), (&packed, 7u8)] {
+        for (bytes, expect_type) in [(&packed, 7u8), (&candidates, 11u8)] {
             prop_assert_eq!(bytes[4], expect_type);
             // Through the owned decoder …
             let (decoded_id, decoded) = match Frame::decode(bytes[4], &bytes[5..]).unwrap() {
-                Frame::Classify { request_id, reads }
-                | Frame::ClassifyPacked { request_id, reads } => (request_id, reads),
+                Frame::ClassifyPacked { request_id, reads }
+                | Frame::Candidates { request_id, reads } => (request_id, reads),
                 other => panic!("unexpected frame {other:?}"),
             };
             prop_assert_eq!(decoded_id, request_id);
@@ -159,8 +161,9 @@ proptest! {
     }
 
     /// On ACGT-only payloads the packed frame shrinks towards 4× (bounded
-    /// by headers and framing); it never grows beyond verbatim + one flag
-    /// byte per record, whatever the input.
+    /// by headers and framing); it never grows beyond the verbatim frame
+    /// (str16 header, u32-prefixed sequence and quality, mate flag per
+    /// record) + one flag byte per record, whatever the input.
     #[test]
     fn packed_frames_never_inflate(
         sequences in vec(messy_dna(300), 1..6),
@@ -170,9 +173,13 @@ proptest! {
             .enumerate()
             .map(|(i, seq)| SequenceRecord::new(format!("r{i}"), seq.clone()))
             .collect();
-        let verbatim = encode_classify(1, &reads).unwrap();
+        let verbatim = 4 + 1 + 8 + 4
+            + reads
+                .iter()
+                .map(|r| 2 + r.header.len() + 4 + r.sequence.len() + 4 + r.quality.len() + 1)
+                .sum::<usize>();
         let packed = encode_classify_packed(1, &reads).unwrap();
-        prop_assert!(packed.len() <= verbatim.len() + reads.len());
+        prop_assert!(packed.len() <= verbatim + reads.len());
     }
 
     /// A FASTQ record whose quality length differs from its sequence length
@@ -192,10 +199,13 @@ proptest! {
             bad
         };
         let reads = vec![record];
-        prop_assert!(encode_classify(0, &reads).is_err());
         prop_assert!(encode_classify_packed(0, &reads).is_err());
+        prop_assert!(encode_candidates(0, &reads).is_err());
 
-        // Hand-craft the v1 wire image the encoder now refuses to produce.
+        // Hand-craft the wire image the encoder refuses to produce: records
+        // with verbatim bodies and an over-long quality. The decoder takes
+        // exactly `seq_len` quality bytes, so the surplus lands where the
+        // mate flag belongs and is rejected.
         let mut payload = Vec::new();
         payload.extend_from_slice(&0u64.to_le_bytes()); // request id
         payload.extend_from_slice(&1u32.to_le_bytes()); // read count
@@ -203,8 +213,8 @@ proptest! {
             payload.extend_from_slice(&1u16.to_le_bytes());
             payload.push(b'r');
             payload.extend_from_slice(&(seq.len() as u32).to_le_bytes());
+            payload.push(if qual.is_empty() { 0 } else { record_flags::HAS_QUALITY });
             payload.extend_from_slice(seq);
-            payload.extend_from_slice(&(qual.len() as u32).to_le_bytes());
             payload.extend_from_slice(qual);
             payload.push(u8::from(mate));
         };
@@ -213,8 +223,8 @@ proptest! {
         }
         put_record(&mut payload, &seq, &quality, false);
         prop_assert_eq!(
-            Frame::decode(3, &payload),
-            Err(ProtocolError::Malformed("quality/sequence length mismatch"))
+            Frame::decode(7, &payload),
+            Err(ProtocolError::Malformed("mate flag"))
         );
     }
 
@@ -278,16 +288,16 @@ proptest! {
     fn truncations_never_decode(
         sequence in messy_dna(120),
         cut_fraction in 0u32..1000,
-        packed in any::<bool>(),
+        classify in any::<bool>(),
     ) {
         let reads = vec![
             SequenceRecord::new("a read", sequence.clone()),
             SequenceRecord::with_quality("q", sequence, b"".to_vec()),
         ];
-        let bytes = if packed {
+        let bytes = if classify {
             Frame::ClassifyPacked { request_id: 7, reads }.encode().unwrap()
         } else {
-            Frame::Classify { request_id: 7, reads }.encode().unwrap()
+            Frame::Candidates { request_id: 7, reads }.encode().unwrap()
         };
         let cut = (cut_fraction as usize * (bytes.len() - 1)) / 1000;
         let mut cursor = std::io::Cursor::new(&bytes[..cut]);
