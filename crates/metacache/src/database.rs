@@ -2,13 +2,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use mc_kmer::{Feature, Location, TargetId};
+use mc_kmer::{hash32, Feature, Location, TargetId};
 use mc_seqio::SequenceRecord;
 use mc_taxonomy::{LineageCache, Rank, TaxonId, Taxonomy};
-use mc_warpcore::{
-    pack_bucket_ref, unpack_bucket_ref, FeatureStore, HostHashTable, HostTableConfig,
-    MultiBucketHashTable, SingleValueHashTable, TableError,
-};
+use mc_warpcore::{FeatureStore, HostHashTable, HostTableConfig, MultiBucketHashTable, TableError};
 
 use crate::build::sketch_target_into;
 use crate::config::MetaCacheConfig;
@@ -30,30 +27,117 @@ pub struct TargetInfo {
     pub num_windows: u32,
 }
 
-/// The condensed read-only store used after loading a database from disk:
-/// all buckets live in one contiguous location array and a single-value table
-/// maps each feature to its (offset, length) bucket reference (§4.2, §5.1).
+/// A [`CondensedStore`] fills at most this share of its index slots. At
+/// 12-byte slots that is ≤ 17.2 B per feature, below a 16-byte slot at a
+/// 0.8 load factor.
+const MAX_LOAD_PERCENT: usize = 70;
+
+/// Features looked up together by [`CondensedStore::query_batch_into`]:
+/// their index and location misses overlap.
+const LOOKUP_CHUNK: usize = 32;
+
+/// Bits of a packed bucket reference that hold the offset.
+const OFFSET_BITS: u32 = 40;
+
+/// The longest bucket a condensed index slot can reference.
+const MAX_CONDENSED_BUCKET: usize = (1 << (64 - OFFSET_BITS)) - 1;
+
+/// Pack an (offset, length) bucket reference: offset in the low 40 bits,
+/// length in the high 24. Callers check both ranges.
+const fn pack_bucket_ref(offset: usize, len: usize) -> u64 {
+    offset as u64 | (len as u64) << OFFSET_BITS
+}
+
+/// Check that a bucket of `len` locations at `offset` fits a bucket
+/// reference.
+fn check_bucket_ref(feature: Feature, offset: usize, len: usize) -> Result<(), MetaCacheError> {
+    if len > MAX_CONDENSED_BUCKET || offset >> OFFSET_BITS != 0 {
+        return Err(MetaCacheError::Format(format!(
+            "bucket of feature {feature} ({len} locations at offset {offset}) \
+             exceeds the condensed index limits"
+        )));
+    }
+    Ok(())
+}
+
+/// Inverse of [`pack_bucket_ref`].
+const fn unpack_bucket_ref(packed: u64) -> (usize, usize) {
+    (
+        (packed & ((1 << OFFSET_BITS) - 1)) as usize,
+        (packed >> OFFSET_BITS) as usize,
+    )
+}
+
+/// One index slot: a feature and the packed reference of its bucket in the
+/// location array. A stored bucket holds at least one location, so its
+/// reference is never 0 and `bucket == 0` marks an empty slot.
+#[derive(Clone, Copy)]
+#[repr(C, packed(4))]
+struct Slot {
+    feature: Feature,
+    bucket: u64,
+}
+
+const EMPTY_SLOT: Slot = Slot {
+    feature: 0,
+    bucket: 0,
+};
+
+/// Slot a feature's probe starts at in an index of `slot_count` slots:
+/// the feature is rehashed (minhash features are biased towards small
+/// values) and mapped onto the slots by a multiply-shift.
+#[inline]
+fn home_slot(feature: Feature, slot_count: usize) -> usize {
+    ((u64::from(hash32(feature)) * slot_count as u64) >> 32) as usize
+}
+
+/// Hint the CPU to pull the cache line holding `p` into L1. A no-op on
+/// targets without a prefetch intrinsic.
+#[inline(always)]
+fn prefetch<T>(p: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch is only a hint and never faults, whatever the address.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(p.cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
+
+/// The condensed read-only store used after loading a database from disk
+/// (§4.2, §5.1): all buckets live in one contiguous location array, laid
+/// out in ascending feature order, and an immutable index maps each
+/// feature to its (offset, length) bucket reference.
+///
+/// The index is one flat array of 12-byte slots, each holding a feature
+/// and its packed bucket reference, so a hit touches one index line and one
+/// location line. Lookups start at the feature's home slot and probe
+/// linearly with plain loads. The index is built once — by
+/// [`CondensedStore::from_buckets`], the loader or the shard split — and
+/// never mutated; a database that must accept insertions
+/// [thaws](CondensedStore::thaw) it into a host table.
 pub struct CondensedStore {
-    index: SingleValueHashTable,
+    slots: Vec<Slot>,
     locations: Vec<Location>,
+    keys: usize,
 }
 
 impl CondensedStore {
-    /// Build a condensed store from (feature, bucket) pairs.
-    pub fn from_buckets(buckets: impl IntoIterator<Item = (Feature, Vec<Location>)>) -> Self {
-        let buckets: Vec<(Feature, Vec<Location>)> = buckets.into_iter().collect();
-        let total: usize = buckets.iter().map(|(_, b)| b.len()).sum();
-        let index = SingleValueHashTable::for_expected_keys(buckets.len().max(1), 0.8);
-        let mut locations = Vec::with_capacity(total);
+    /// Build a condensed store from (feature, bucket) pairs in any order.
+    /// Empty buckets are skipped and the buckets of a repeated feature are
+    /// concatenated in order, as a host table holding them would.
+    pub fn from_buckets<B>(
+        buckets: impl IntoIterator<Item = (Feature, B)>,
+    ) -> Result<Self, MetaCacheError>
+    where
+        B: IntoIterator<Item = Location>,
+    {
+        let mut builder = CondensedBuilder::default();
         for (feature, bucket) in buckets {
-            let offset = locations.len() as u64;
-            let len = bucket.len() as u32;
-            locations.extend(bucket);
-            index
-                .insert(feature, pack_bucket_ref(offset, len))
-                .expect("condensed index sized for all keys");
+            builder.push_bucket(feature, bucket)?;
         }
-        Self { index, locations }
+        builder.finish()
     }
 
     /// Number of stored locations.
@@ -61,16 +145,56 @@ impl CondensedStore {
         self.locations.len()
     }
 
-    /// Visit every (feature, bucket) pair of the condensed layout — used when
-    /// re-serialising a loaded database.
+    /// Number of index slots.
+    pub fn slot_count(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The index slot a lookup of `feature` starts probing at.
+    pub fn home_slot(&self, feature: Feature) -> usize {
+        home_slot(feature, self.slots.len())
+    }
+
+    /// The packed bucket reference of `feature`, probing linearly from
+    /// `slot`; 0 if the feature is absent. The index always keeps an empty
+    /// slot, so the probe ends.
+    #[inline]
+    fn find_from(&self, mut slot: usize, feature: Feature) -> u64 {
+        loop {
+            let Slot {
+                feature: key,
+                bucket,
+            } = self.slots[slot];
+            if bucket == 0 || key == feature {
+                return bucket;
+            }
+            slot += 1;
+            if slot == self.slots.len() {
+                slot = 0;
+            }
+        }
+    }
+
+    #[inline]
+    fn bucket(&self, packed: u64) -> &[Location] {
+        let (offset, len) = unpack_bucket_ref(packed);
+        &self.locations[offset..offset + len]
+    }
+
+    /// Visit every (feature, bucket) pair of the condensed layout in
+    /// ascending feature order — used when re-serialising a loaded
+    /// database or splitting it into shards.
     pub fn for_each_bucket(&self, mut f: impl FnMut(Feature, &[Location])) {
-        self.index.for_each(|feature, packed| {
-            let (offset, len) = unpack_bucket_ref(packed);
-            f(
-                feature,
-                &self.locations[offset as usize..offset as usize + len as usize],
-            );
-        });
+        let mut entries: Vec<Slot> = self
+            .slots
+            .iter()
+            .filter(|s| s.bucket != 0)
+            .copied()
+            .collect();
+        entries.sort_unstable_by_key(|s| s.feature);
+        for Slot { feature, bucket } in entries {
+            f(feature, self.bucket(bucket));
+        }
     }
 
     /// Convert the condensed layout back into a mutable [`HostHashTable`]
@@ -78,12 +202,19 @@ impl CondensedStore {
     /// location order is preserved, so queries against the thawed table are
     /// bit-identical to queries against the condensed store.
     pub fn thaw(&self, max_locations_per_key: usize) -> HostHashTable {
-        let table = HostHashTable::new(HostTableConfig {
+        let config = HostTableConfig {
             max_locations_per_key,
             ..Default::default()
+        };
+        // Sized so the thawed keys fit without a rehash.
+        let table = HostHashTable::new(HostTableConfig {
+            initial_capacity: config
+                .initial_capacity
+                .max((self.keys as f64 / config.max_load_factor) as usize + 1),
+            ..config
         });
-        self.for_each_bucket(|feature, bucket| {
-            for &location in bucket {
+        for &Slot { feature, bucket } in self.slots.iter().filter(|s| s.bucket != 0) {
+            for &location in self.bucket(bucket) {
                 // Buckets were capped at build time, so under the same (or a
                 // larger) cap nothing is dropped; a smaller cap re-applies
                 // here, exactly as a fresh build with that cap would.
@@ -92,7 +223,7 @@ impl CondensedStore {
                     Err(e) => unreachable!("growable host table refused an insert: {e}"),
                 }
             }
-        });
+        }
         table
     }
 }
@@ -106,19 +237,39 @@ impl FeatureStore for CondensedStore {
     }
 
     fn query_into(&self, feature: Feature, out: &mut Vec<Location>) -> usize {
-        match self.index.get(feature) {
-            Some(packed) => {
-                let (offset, len) = unpack_bucket_ref(packed);
-                let slice = &self.locations[offset as usize..offset as usize + len as usize];
-                out.extend_from_slice(slice);
-                len as usize
+        let bucket = self.bucket(self.find_from(self.home_slot(feature), feature));
+        out.extend_from_slice(bucket);
+        bucket.len()
+    }
+
+    /// Look the sketch up in chunks of 32 features: hash every
+    /// feature of a chunk and prefetch its home slot, then resolve each
+    /// bucket reference and prefetch its first location, then append the
+    /// buckets in feature order. The misses of one chunk overlap instead of
+    /// running one after another.
+    fn query_batch_into(&self, features: &[Feature], out: &mut Vec<Location>) -> usize {
+        let before = out.len();
+        let mut slots = [0usize; LOOKUP_CHUNK];
+        let mut buckets = [0u64; LOOKUP_CHUNK];
+        for chunk in features.chunks(LOOKUP_CHUNK) {
+            for (slot, &feature) in slots.iter_mut().zip(chunk) {
+                *slot = self.home_slot(feature);
+                prefetch(&self.slots[*slot]);
             }
-            None => 0,
+            for ((bucket, &slot), &feature) in buckets.iter_mut().zip(&slots).zip(chunk) {
+                *bucket = self.find_from(slot, feature);
+                let (offset, _) = unpack_bucket_ref(*bucket);
+                prefetch(self.locations.as_ptr().wrapping_add(offset));
+            }
+            for &bucket in &buckets[..chunk.len()] {
+                out.extend_from_slice(self.bucket(bucket));
+            }
         }
+        out.len() - before
     }
 
     fn key_count(&self) -> usize {
-        self.index.len()
+        self.keys
     }
 
     fn value_count(&self) -> usize {
@@ -126,7 +277,113 @@ impl FeatureStore for CondensedStore {
     }
 
     fn bytes(&self) -> usize {
-        self.index.bytes() + self.locations.len() * std::mem::size_of::<Location>()
+        self.slots.len() * std::mem::size_of::<Slot>()
+            + self.locations.len() * std::mem::size_of::<Location>()
+    }
+}
+
+/// Builds a [`CondensedStore`] bucket by bucket, appending every bucket to
+/// the one location array. Buckets that arrive in ascending feature order —
+/// a `.cache` stream, the split of a sorted store — are laid out as they
+/// come; any other order is regrouped by feature in
+/// [`CondensedBuilder::finish`], concatenating the buckets of a repeated
+/// feature in arrival order.
+#[derive(Default)]
+pub(crate) struct CondensedBuilder {
+    entries: Vec<Slot>,
+    locations: Vec<Location>,
+    /// Whether a bucket arrived out of ascending feature order.
+    unsorted: bool,
+}
+
+impl CondensedBuilder {
+    /// A builder with room for `keys` buckets holding `locations` locations.
+    pub fn with_capacity(keys: usize, locations: usize) -> Self {
+        Self {
+            entries: Vec::with_capacity(keys),
+            locations: Vec::with_capacity(locations),
+            ..Self::default()
+        }
+    }
+
+    /// Append the bucket of `feature`. An empty bucket is skipped. A bucket
+    /// longer than 2^24 − 1 locations, or one starting past the 2^40
+    /// locations a bucket reference can address, is a
+    /// [`MetaCacheError::Format`] error.
+    pub fn push_bucket(
+        &mut self,
+        feature: Feature,
+        bucket: impl IntoIterator<Item = Location>,
+    ) -> Result<(), MetaCacheError> {
+        let offset = self.locations.len();
+        self.locations.extend(bucket);
+        let len = self.locations.len() - offset;
+        if len == 0 {
+            return Ok(());
+        }
+        check_bucket_ref(feature, offset, len)?;
+        self.unsorted |= self
+            .entries
+            .last()
+            .is_some_and(|last| last.feature >= feature);
+        self.entries.push(Slot {
+            feature,
+            bucket: pack_bucket_ref(offset, len),
+        });
+        Ok(())
+    }
+
+    /// Build the index over the pushed buckets. Fails like
+    /// [`CondensedBuilder::push_bucket`] if a repeated feature's buckets
+    /// together exceed 2^24 − 1 locations.
+    pub fn finish(mut self) -> Result<CondensedStore, MetaCacheError> {
+        if self.unsorted {
+            self.regroup()?;
+        }
+        let keys = self.entries.len();
+        // Always at least one empty slot, which ends every probe.
+        let mut slots = vec![EMPTY_SLOT; keys * 100 / MAX_LOAD_PERCENT + 1];
+        for entry in self.entries {
+            let mut slot = home_slot(entry.feature, slots.len());
+            while slots[slot].bucket != 0 {
+                slot += 1;
+                if slot == slots.len() {
+                    slot = 0;
+                }
+            }
+            slots[slot] = entry;
+        }
+        Ok(CondensedStore {
+            slots,
+            locations: self.locations,
+            keys,
+        })
+    }
+
+    /// Lay the buckets out in ascending feature order, merging the buckets
+    /// of a repeated feature (stable sort: arrival order within a feature).
+    fn regroup(&mut self) -> Result<(), MetaCacheError> {
+        self.entries.sort_by_key(|e| e.feature);
+        let mut locations = Vec::with_capacity(self.locations.len());
+        let mut entries: Vec<Slot> = Vec::with_capacity(self.entries.len());
+        for &Slot { feature, bucket } in &self.entries {
+            let (offset, len) = unpack_bucket_ref(bucket);
+            locations.extend_from_slice(&self.locations[offset..offset + len]);
+            match entries.last_mut() {
+                Some(last) if last.feature == feature => {
+                    let (start, merged) = unpack_bucket_ref(last.bucket);
+                    check_bucket_ref(feature, start, merged + len)?;
+                    last.bucket = pack_bucket_ref(start, merged + len);
+                }
+                _ => entries.push(Slot {
+                    feature,
+                    bucket: pack_bucket_ref(locations.len() - len, len),
+                }),
+            }
+        }
+        self.entries = entries;
+        self.locations = locations;
+        Ok(())
     }
 }
 
@@ -148,6 +405,41 @@ impl PartitionStore {
             PartitionStore::Host(t) => t,
             PartitionStore::Condensed(t) => t,
         }
+    }
+
+    /// Visit every (feature, bucket) pair in ascending feature order,
+    /// whatever the back end — what saving and splitting a partition read.
+    /// Stops visiting at the first error `f` returns, and returns it.
+    pub fn try_for_each_bucket<E>(
+        &self,
+        mut f: impl FnMut(Feature, &[Location]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let mut result = Ok(());
+        let mut visit = |feature, bucket: &[Location]| {
+            if result.is_ok() {
+                result = f(feature, bucket);
+            }
+        };
+        match self {
+            PartitionStore::MultiBucket(table) => {
+                // A key's values are scattered over several slots; gather
+                // them per key first.
+                let mut buckets: std::collections::BTreeMap<Feature, Vec<Location>> =
+                    Default::default();
+                table.for_each_slot(|feature, locations| {
+                    buckets
+                        .entry(feature)
+                        .or_default()
+                        .extend_from_slice(locations);
+                });
+                for (feature, bucket) in &buckets {
+                    visit(*feature, bucket);
+                }
+            }
+            PartitionStore::Host(table) => table.for_each_bucket(visit),
+            PartitionStore::Condensed(store) => store.for_each_bucket(visit),
+        }
+        result
     }
 
     /// Short label used in reports.
@@ -557,7 +849,7 @@ mod tests {
                 (0..100).map(|w| Location::new(9, w)).collect(),
             ),
         ];
-        let store = CondensedStore::from_buckets(buckets.clone());
+        let store = CondensedStore::from_buckets(buckets.clone()).unwrap();
         assert_eq!(store.location_count(), 103);
         assert_eq!(store.key_count(), 3);
         assert_eq!(store.value_count(), 103);
@@ -575,12 +867,83 @@ mod tests {
     }
 
     #[test]
+    fn bucket_ref_packing_roundtrip() {
+        for (offset, len) in [
+            (0usize, 1usize),
+            (1, 1),
+            (123_456_789, 254),
+            ((1 << 40) - 1, MAX_CONDENSED_BUCKET),
+        ] {
+            check_bucket_ref(0, offset, len).unwrap();
+            assert_eq!(
+                unpack_bucket_ref(pack_bucket_ref(offset, len)),
+                (offset, len)
+            );
+        }
+        // What a reference cannot hold is an error, not a silent wrap.
+        assert!(check_bucket_ref(0, 0, MAX_CONDENSED_BUCKET + 1).is_err());
+        assert!(check_bucket_ref(0, 1 << 40, 1).is_err());
+    }
+
+    #[test]
+    fn condensed_index_fits_its_byte_budget() {
+        let keys = 10_000usize;
+        let store =
+            CondensedStore::from_buckets((0..keys as u32).map(|f| (f, [Location::new(0, f)])))
+                .unwrap();
+        let index_bytes = store.bytes() - keys * std::mem::size_of::<Location>();
+        // No more than a 16-byte slot at a 0.8 load factor would take, and
+        // at most 70% of the slots in use.
+        assert!(
+            index_bytes <= (keys * 5).div_ceil(4) * 16,
+            "{index_bytes} B"
+        );
+        assert!(keys * 10 <= store.slot_count() * 7);
+        for f in (0..keys as u32).step_by(101) {
+            assert_eq!(store.query(f), vec![Location::new(0, f)]);
+        }
+    }
+
+    #[test]
+    fn builder_regroups_out_of_order_and_repeated_features() {
+        let store = CondensedStore::from_buckets(vec![
+            (9u32, vec![Location::new(1, 0)]),
+            (3, vec![Location::new(0, 0), Location::new(0, 1)]),
+            (7, vec![]),
+            (9, vec![Location::new(2, 5)]),
+        ])
+        .unwrap();
+        assert_eq!(store.key_count(), 2);
+        assert_eq!(store.value_count(), 4);
+        assert_eq!(
+            store.query(9),
+            vec![Location::new(1, 0), Location::new(2, 5)]
+        );
+        assert!(store.query(7).is_empty());
+        let mut visited = Vec::new();
+        store.for_each_bucket(|feature, bucket| visited.push((feature, bucket.to_vec())));
+        assert_eq!(
+            visited,
+            vec![
+                (3, vec![Location::new(0, 0), Location::new(0, 1)]),
+                (9, vec![Location::new(1, 0), Location::new(2, 5)]),
+            ]
+        );
+        // Batched lookups equal one lookup per feature, hits and misses.
+        let features = [9, 4, 3, 9, 7];
+        let mut batched = Vec::new();
+        assert_eq!(store.query_batch_into(&features, &mut batched), 6);
+        let single: Vec<Location> = features.iter().flat_map(|&f| store.query(f)).collect();
+        assert_eq!(batched, single);
+    }
+
+    #[test]
     fn thaw_preserves_buckets_and_reapplies_cap() {
         let buckets = vec![
             (5u32, vec![Location::new(0, 1), Location::new(0, 2)]),
             (9u32, (0..10).map(|w| Location::new(2, w)).collect()),
         ];
-        let store = CondensedStore::from_buckets(buckets.clone());
+        let store = CondensedStore::from_buckets(buckets.clone()).unwrap();
         // Same cap: everything survives, order preserved.
         let thawed = store.thaw(254);
         for (feature, bucket) in &buckets {
@@ -652,7 +1015,9 @@ mod tests {
     fn partition_kind_labels() {
         let db = tiny_database();
         assert_eq!(db.partitions[0].store.kind(), "host");
-        let condensed = PartitionStore::Condensed(CondensedStore::from_buckets(Vec::new()));
+        let condensed = PartitionStore::Condensed(
+            CondensedStore::from_buckets(Vec::<(Feature, Vec<Location>)>::new()).unwrap(),
+        );
         assert_eq!(condensed.kind(), "condensed");
     }
 }

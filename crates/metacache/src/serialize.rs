@@ -11,7 +11,7 @@
 //! * `<name>.cache<i>` — binary: for every feature of partition `i`, the
 //!   feature, its bucket length and the packed locations.
 
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -21,7 +21,9 @@ use mc_kmer::{Feature, Location};
 use mc_taxonomy::Taxonomy;
 
 use crate::config::MetaCacheConfig;
-use crate::database::{CondensedStore, Database, Partition, PartitionStore, TargetInfo};
+use crate::database::{
+    CondensedBuilder, CondensedStore, Database, Partition, PartitionStore, TargetInfo,
+};
 use crate::error::MetaCacheError;
 
 /// Magic bytes at the start of every `.cache` partition file.
@@ -72,24 +74,21 @@ pub fn save(
     report.total_bytes += meta_json.len() as u64;
     report.files.push(meta_path);
 
-    // One cache file per partition.
+    // One cache file per partition; the bucket count is written once all
+    // buckets are.
     for (i, partition) in db.partitions.iter().enumerate() {
         let path = dir.join(format!("{name}.cache{i}"));
-        let file = std::fs::File::create(&path)?;
-        let mut writer = BufWriter::new(file);
+        let mut writer = BufWriter::new(std::fs::File::create(&path)?);
         writer.write_all(CACHE_MAGIC)?;
-        let buckets = collect_buckets(partition);
-        writer.write_all(&(buckets.len() as u64).to_le_bytes())?;
-        let mut bytes_written = 16u64;
-        for (feature, bucket) in buckets {
-            writer.write_all(&feature.to_le_bytes())?;
-            writer.write_all(&(bucket.len() as u32).to_le_bytes())?;
-            bytes_written += 8;
-            for loc in bucket {
-                writer.write_all(&loc.pack().to_le_bytes())?;
-                bytes_written += 8;
-            }
-        }
+        writer.write_all(&0u64.to_le_bytes())?;
+        let (mut buckets, mut bytes_written) = (0u64, 16u64);
+        partition.store.try_for_each_bucket(|feature, bucket| {
+            buckets += 1;
+            bytes_written += 8 + 8 * bucket.len() as u64;
+            write_bucket(&mut writer, feature, bucket)
+        })?;
+        writer.seek(SeekFrom::Start(CACHE_MAGIC.len() as u64))?;
+        writer.write_all(&buckets.to_le_bytes())?;
         writer.flush()?;
         report.total_bytes += bytes_written;
         report.files.push(path);
@@ -97,50 +96,28 @@ pub fn save(
     Ok(report)
 }
 
-/// Extract every (feature, bucket) pair of a partition, regardless of its
-/// back-end table type. Shared with the sharding splitter
-/// ([`crate::shard::ShardedDatabase::from_database`]).
-pub(crate) fn collect_buckets(partition: &Partition) -> Vec<(Feature, Vec<Location>)> {
-    match &partition.store {
-        PartitionStore::Host(table) => {
-            let mut out = Vec::new();
-            table.for_each_bucket(|feature, bucket| out.push((feature, bucket.to_vec())));
-            out.sort_by_key(|(f, _)| *f);
-            out
-        }
-        PartitionStore::MultiBucket(table) => {
-            // The multi-bucket table has no bucket iterator (slots of one key
-            // are scattered); rebuild buckets by querying every distinct
-            // feature found in a full scan via the FeatureStore interface.
-            // To avoid adding a scan API only for serialization we recover the
-            // features from the partition's stored locations through the
-            // targets: this information is not tracked, so instead we walk the
-            // feature space lazily — in practice the GPU pipeline serialises
-            // through `to_condensed`, which snapshots insertions. Here we fall
-            // back to a direct export provided by the table.
-            table_export(table)
-        }
-        PartitionStore::Condensed(store) => {
-            let mut out = Vec::new();
-            store.for_each_bucket(|feature, bucket| out.push((feature, bucket.to_vec())));
-            out.sort_by_key(|(f, _)| *f);
-            out
-        }
+/// Write one bucket: its feature, its length and the packed locations.
+fn write_bucket(
+    writer: &mut impl Write,
+    feature: Feature,
+    bucket: &[Location],
+) -> std::io::Result<()> {
+    writer.write_all(&feature.to_le_bytes())?;
+    writer.write_all(&(bucket.len() as u32).to_le_bytes())?;
+    for loc in bucket {
+        writer.write_all(&loc.pack().to_le_bytes())?;
     }
-}
-
-/// Export every (feature, bucket) pair of a multi-bucket table by scanning
-/// its slots.
-fn table_export(table: &mc_warpcore::MultiBucketHashTable) -> Vec<(Feature, Vec<Location>)> {
-    let mut out: std::collections::BTreeMap<Feature, Vec<Location>> = Default::default();
-    table.for_each_slot(|feature, locations| {
-        out.entry(feature).or_default().extend_from_slice(locations);
-    });
-    out.into_iter().collect()
+    Ok(())
 }
 
 /// Load a database saved with [`save`]. All partitions are loaded into the
-/// condensed read-only layout of §4.2.
+/// condensed read-only layout of §4.2, streamed from each `.cache` file
+/// straight into the one location array and the index.
+///
+/// The files are untrusted input: a count the file cannot hold, a bucket
+/// that is empty or longer than `max_locations_per_feature`, features out
+/// of strictly ascending order (what [`save`] writes) or a location of an
+/// unknown target is a [`MetaCacheError::Format`] error, never a panic.
 ///
 /// The database is returned behind an [`Arc`]: a loaded database is the
 /// shared, read-only artefact the serving stack multiplexes over
@@ -159,54 +136,9 @@ pub fn load(dir: impl AsRef<Path>, name: &str) -> Result<Arc<Database>, MetaCach
     let mut partitions = Vec::with_capacity(meta.partition_count.min(meta.partition_targets.len()));
     for i in 0..meta.partition_count {
         let path = dir.join(format!("{name}.cache{i}"));
-        let file = std::fs::File::open(&path)?;
-        // Bytes not yet read: every count below is checked against it
-        // before anything is reserved, so a corrupt length is a format
-        // error instead of an allocation the process cannot survive.
-        let mut left = file.metadata()?.len().saturating_sub(16);
-        let corrupt = |what: String| {
-            MetaCacheError::Format(format!("{}: {what} exceeds the file size", path.display()))
-        };
-        let mut reader = BufReader::new(file);
-        let mut magic = [0u8; 8];
-        reader.read_exact(&mut magic)?;
-        if &magic != CACHE_MAGIC {
-            return Err(MetaCacheError::Format(format!(
-                "{} is not a MetaCache cache file",
-                path.display()
-            )));
-        }
-        let mut count_bytes = [0u8; 8];
-        reader.read_exact(&mut count_bytes)?;
-        let bucket_count = u64::from_le_bytes(count_bytes);
-        // Each bucket takes at least its 8-byte feature + length header.
-        if bucket_count > left / 8 {
-            return Err(corrupt(format!("bucket count {bucket_count}")));
-        }
-        let mut buckets = Vec::with_capacity(bucket_count as usize);
-        for _ in 0..bucket_count {
-            let mut feature_bytes = [0u8; 4];
-            reader.read_exact(&mut feature_bytes)?;
-            let feature = Feature::from_le_bytes(feature_bytes);
-            let mut len_bytes = [0u8; 4];
-            reader.read_exact(&mut len_bytes)?;
-            let len = u32::from_le_bytes(len_bytes);
-            // Each location takes exactly 8 bytes.
-            left = left.saturating_sub(8);
-            if u64::from(len) > left / 8 {
-                return Err(corrupt(format!("bucket length {len}")));
-            }
-            left -= 8 * u64::from(len);
-            let mut bucket = Vec::with_capacity(len as usize);
-            for _ in 0..len {
-                let mut loc_bytes = [0u8; 8];
-                reader.read_exact(&mut loc_bytes)?;
-                bucket.push(Location::unpack(u64::from_le_bytes(loc_bytes)));
-            }
-            buckets.push((feature, bucket));
-        }
+        let store = load_partition(&path, &meta)?;
         partitions.push(Partition {
-            store: PartitionStore::Condensed(CondensedStore::from_buckets(buckets)),
+            store: PartitionStore::Condensed(store),
             targets: meta.partition_targets.get(i).cloned().unwrap_or_default(),
         });
     }
@@ -219,6 +151,73 @@ pub fn load(dir: impl AsRef<Path>, name: &str) -> Result<Arc<Database>, MetaCach
         lineages,
         partitions,
     }))
+}
+
+/// Stream one `.cache` file into a condensed store, validating as it goes.
+fn load_partition(path: &Path, meta: &MetaFile) -> Result<CondensedStore, MetaCacheError> {
+    let corrupt = |what: String| MetaCacheError::Format(format!("{}: {what}", path.display()));
+    let file = std::fs::File::open(path)?;
+    // Bytes after the 16-byte header: every count below is checked against
+    // them before anything is reserved, so a corrupt length is a format
+    // error instead of an allocation the process cannot survive.
+    let mut left = file.metadata()?.len().saturating_sub(16);
+    let mut reader = BufReader::with_capacity(1 << 20, file);
+    let mut header = [0u8; 16];
+    reader.read_exact(&mut header)?;
+    if &header[..8] != CACHE_MAGIC {
+        return Err(corrupt("not a MetaCache cache file".into()));
+    }
+    let bucket_count = u64::from_le_bytes(header[8..].try_into().expect("8 bytes"));
+    // Each bucket takes at least its 8-byte feature + length header, and
+    // each location exactly 8 bytes.
+    if bucket_count > left / 8 {
+        return Err(corrupt(format!(
+            "bucket count {bucket_count} exceeds the file size"
+        )));
+    }
+    let locations = (left - 8 * bucket_count) / 8;
+    let mut builder = CondensedBuilder::with_capacity(bucket_count as usize, locations as usize);
+    let max_len = meta.config.max_locations_per_feature;
+    let target_count = meta.targets.len();
+    let mut previous: Option<Feature> = None;
+    let mut bytes = Vec::with_capacity(8 * max_len.min(locations as usize));
+    for _ in 0..bucket_count {
+        let mut bucket_header = [0u8; 8];
+        reader.read_exact(&mut bucket_header)?;
+        let feature = Feature::from_le_bytes(bucket_header[..4].try_into().expect("4 bytes"));
+        let len = u32::from_le_bytes(bucket_header[4..].try_into().expect("4 bytes"));
+        left = left.saturating_sub(8);
+        if u64::from(len) > left / 8 {
+            return Err(corrupt(format!(
+                "bucket length {len} exceeds the file size"
+            )));
+        }
+        if len == 0 || len as usize > max_len {
+            return Err(corrupt(format!(
+                "feature {feature} has {len} locations, outside 1..={max_len}"
+            )));
+        }
+        if previous.is_some_and(|p| p >= feature) {
+            return Err(corrupt(format!(
+                "feature {feature} is out of ascending order"
+            )));
+        }
+        previous = Some(feature);
+        left -= 8 * u64::from(len);
+        bytes.resize(8 * len as usize, 0);
+        reader.read_exact(&mut bytes)?;
+        let bucket = bytes
+            .chunks_exact(8)
+            .map(|b| Location::unpack(u64::from_le_bytes(b.try_into().expect("8 bytes"))));
+        if let Some(bad) = bucket.clone().find(|l| l.target as usize >= target_count) {
+            return Err(corrupt(format!(
+                "feature {feature} locates target {}, but there are {target_count} targets",
+                bad.target
+            )));
+        }
+        builder.push_bucket(feature, bucket)?;
+    }
+    builder.finish()
 }
 
 #[cfg(test)]
@@ -320,11 +319,34 @@ mod tests {
         std::fs::write(&cache, &huge_count).unwrap();
         assert!(matches!(load(&dir, "bad"), Err(MetaCacheError::Format(_))));
         // … and a first bucket whose locations run past the end of file.
-        let mut long_bucket = valid;
+        let mut long_bucket = valid.clone();
         let past_eof = (long_bucket.len() as u32 - 24) / 8 + 1;
         long_bucket[20..24].copy_from_slice(&past_eof.to_le_bytes());
         std::fs::write(&cache, &long_bucket).unwrap();
         assert!(matches!(load(&dir, "bad"), Err(MetaCacheError::Format(_))));
+        // Data the file can hold but the index must not represent: an
+        // empty bucket, one longer than the per-feature cap, a feature out
+        // of ascending order and a location of an unknown target.
+        let first_len = u32::from_le_bytes(valid[20..24].try_into().unwrap()) as usize;
+        let second = 24 + 8 * first_len;
+        let cap = db.config.max_locations_per_feature as u32;
+        let corruptions: [(usize, [u8; 4]); 4] = [
+            (20, 0u32.to_le_bytes()),
+            (20, (cap + 1).to_le_bytes()),
+            (second, valid[16..20].try_into().unwrap()),
+            (28, (db.target_count() as u32).to_le_bytes()),
+        ];
+        for (at, bytes) in corruptions {
+            let mut bad = valid.clone();
+            bad[at..at + 4].copy_from_slice(&bytes);
+            std::fs::write(&cache, &bad).unwrap();
+            assert!(
+                matches!(load(&dir, "bad"), Err(MetaCacheError::Format(_))),
+                "bytes {at}.. = {bytes:?} were accepted"
+            );
+        }
+        std::fs::write(&cache, &valid).unwrap();
+        assert!(load(&dir, "bad").is_ok());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -72,21 +72,19 @@
 //! propagating, so no response merges candidate lists from two different
 //! reference sets (`mc_net::router` documents the ordering argument).
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rayon::prelude::*;
 
-use mc_kmer::{Feature, Location, TargetId};
+use mc_kmer::TargetId;
 use mc_seqio::SequenceRecord;
 
 use crate::backend::{Backend, BackendWorker};
 use crate::candidate::CandidateList;
 use crate::classify::{classify_candidates, Classification};
-use crate::database::{CondensedStore, Database, Partition, PartitionStore};
+use crate::database::{CondensedBuilder, Database, Partition, PartitionStore};
 use crate::error::MetaCacheError;
 use crate::query::{Classifier, QueryScratch};
-use crate::serialize::collect_buckets;
 
 /// An assignment of every target of a database to one of `shard_count`
 /// shards.
@@ -181,25 +179,36 @@ impl ShardedDatabase {
                 db.target_count()
             )));
         }
-        // Split every bucket of every partition by the owning target's
-        // shard. A BTreeMap per shard re-merges features that span source
-        // partitions (multi-device builds) into one bucket per feature.
-        let mut shard_buckets: Vec<BTreeMap<Feature, Vec<Location>>> =
-            (0..plan.shard_count).map(|_| BTreeMap::new()).collect();
+        // Route every bucket of every partition to the shards owning its
+        // locations. Partitions visit their buckets in ascending feature
+        // order, so a one-partition database streams straight into each
+        // shard's location array; a feature that spans source partitions
+        // (multi-device builds) is regrouped into one bucket by the builder.
+        let mut builders: Vec<CondensedBuilder> = (0..plan.shard_count)
+            .map(|_| CondensedBuilder::default())
+            .collect();
         for partition in &db.partitions {
-            for (feature, bucket) in collect_buckets(partition) {
-                for loc in bucket {
-                    let shard = plan.assignment[loc.target as usize];
-                    shard_buckets[shard].entry(feature).or_default().push(loc);
+            partition.store.try_for_each_bucket(|feature, bucket| {
+                for (shard, builder) in builders.iter_mut().enumerate() {
+                    let owned = bucket
+                        .iter()
+                        .copied()
+                        .filter(|loc| plan.assignment[loc.target as usize] == shard);
+                    builder.push_bucket(feature, owned)?;
                 }
-            }
+                Ok::<_, MetaCacheError>(())
+            })?;
         }
+        let stores = builders
+            .into_iter()
+            .map(CondensedBuilder::finish)
+            .collect::<Result<Vec<_>, _>>()?;
 
         let meta = Arc::new(db.metadata_view());
-        let shards = shard_buckets
+        let shards = stores
             .into_iter()
             .enumerate()
-            .map(|(shard, buckets)| {
+            .map(|(shard, store)| {
                 let targets: Vec<TargetId> = plan
                     .assignment
                     .iter()
@@ -213,7 +222,7 @@ impl ShardedDatabase {
                     taxonomy: db.taxonomy.clone(),
                     lineages: db.lineages.clone(),
                     partitions: vec![Partition {
-                        store: PartitionStore::Condensed(CondensedStore::from_buckets(buckets)),
+                        store: PartitionStore::Condensed(store),
                         targets,
                     }],
                 })

@@ -164,10 +164,13 @@ impl HostHashTable {
             .all(|s| s.bucket.windows(2).all(|w| w[0] <= w[1]))
     }
 
-    /// Apply a function to every (feature, bucket) pair, e.g. for
-    /// serialisation into the condensed on-disk layout.
+    /// Apply a function to every (feature, bucket) pair in ascending
+    /// feature order, e.g. for serialisation into the sorted on-disk layout.
     pub fn for_each_bucket(&self, mut f: impl FnMut(Feature, &[Location])) {
-        for slot in self.inner.read().slots.iter().flatten() {
+        let inner = self.inner.read();
+        let mut slots: Vec<&Slot> = inner.slots.iter().flatten().collect();
+        slots.sort_unstable_by_key(|s| s.feature);
+        for slot in slots {
             f(slot.feature, &slot.bucket);
         }
     }
@@ -328,13 +331,13 @@ mod tests {
             t.insert(k, Location::new(k, 1)).unwrap();
             t.insert(k, Location::new(k, 2)).unwrap();
         }
-        let mut seen = 0;
+        let mut seen = Vec::new();
         let mut values = 0;
-        t.for_each_bucket(|_, bucket| {
-            seen += 1;
+        t.for_each_bucket(|feature, bucket| {
+            seen.push(feature);
             values += bucket.len();
         });
-        assert_eq!(seen, 50);
+        assert_eq!(seen, (0..50).collect::<Vec<_>>(), "ascending feature order");
         assert_eq!(values, 100);
     }
 

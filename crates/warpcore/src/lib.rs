@@ -5,8 +5,6 @@
 //! (paper §3). This crate reproduces the hash-table family the paper builds
 //! on and the new variant it contributes:
 //!
-//! * [`SingleValueHashTable`] — one value per key; used for the condensed
-//!   query-phase layout that maps features to bucket pointers (§5.1),
 //! * [`MultiValueHashTable`] — WarpCore's multi-value table where every slot
 //!   holds a single key/value pair and a key may occupy many slots,
 //! * [`BucketListHashTable`] — WarpCore's bucket-list table where each key
@@ -21,11 +19,15 @@
 //!   location cap (default 254) and load-factor-triggered rehashing.
 //!
 //! All device-style tables ([`MultiValueHashTable`], [`MultiBucketHashTable`],
-//! [`BucketListHashTable`], [`SingleValueHashTable`]) support *concurrent*
-//! insertion from many threads — this is what the warp-aggregated insertion
-//! kernels of the paper map onto — and use the two-stage probing scheme of
-//! WarpCore: an outer double-hashing sequence over probing groups combined
-//! with an inner group-linear scan (see [`probing`]).
+//! [`BucketListHashTable`]) support *concurrent* insertion from many threads
+//! — this is what the warp-aggregated insertion kernels of the paper map
+//! onto — and use the two-stage probing scheme of WarpCore: an outer
+//! double-hashing sequence over probing groups combined with an inner
+//! group-linear scan (see [`probing`]).
+//!
+//! The read-only condensed layout a loaded database queries (§4.2) is not
+//! one of these tables: it is built once and never inserted into, so it
+//! lives with the database (`metacache::database::CondensedStore`).
 //!
 //! ## Example
 //!
@@ -50,7 +52,6 @@ pub mod host_table;
 pub mod multi_bucket;
 pub mod multi_value;
 pub mod probing;
-pub mod single_value;
 pub mod stats;
 
 pub use bucket_list::{BucketListConfig, BucketListHashTable};
@@ -58,7 +59,6 @@ pub use host_table::{HostHashTable, HostTableConfig};
 pub use multi_bucket::{MultiBucketConfig, MultiBucketHashTable};
 pub use multi_value::{MultiValueConfig, MultiValueHashTable};
 pub use probing::{ProbingConfig, ProbingSequence};
-pub use single_value::{pack_bucket_ref, unpack_bucket_ref, SingleValueHashTable};
 pub use stats::TableStats;
 
 use mc_kmer::{Feature, Location};

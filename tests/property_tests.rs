@@ -1,7 +1,8 @@
 //! Property-based tests (proptest) of the core invariants:
 //! encoding round-trips, canonical k-mer strand independence, hash-table
-//! insert/query consistency across every variant, segmented-sort correctness,
-//! sketch stability and LCA algebra.
+//! insert/query consistency across every variant, the condensed index's
+//! equivalence with the host table, a loader that survives corrupt files,
+//! segmented-sort correctness, sketch stability and LCA algebra.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -17,9 +18,10 @@ use mc_warpcore::{
     MultiBucketConfig, MultiBucketHashTable, MultiValueConfig, MultiValueHashTable,
 };
 use metacache::build::CpuBuilder;
+use metacache::database::CondensedStore;
 use metacache::gpu::{warp_sketch_window_into, WarpSketchScratch};
 use metacache::query::{Classifier, QueryScratch};
-use metacache::{Database, MetaCacheConfig, SketchScratch, Sketcher};
+use metacache::{serialize, Database, MetaCacheConfig, MetaCacheError, SketchScratch, Sketcher};
 
 fn dna(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     vec(
@@ -70,8 +72,148 @@ fn shared_database() -> (&'static Database, &'static [Vec<u8>]) {
     (db, genomes)
 }
 
+/// The `.cache0` bytes of [`shared_database`] saved to disk, with the
+/// directory holding its `.meta`.
+fn saved_shared_database() -> &'static (std::path::PathBuf, Vec<u8>) {
+    use std::sync::OnceLock;
+    static SAVED: OnceLock<(std::path::PathBuf, Vec<u8>)> = OnceLock::new();
+    SAVED.get_or_init(|| {
+        let dir = std::env::temp_dir().join("mc_prop_corrupt_cache");
+        serialize::save(shared_database().0, &dir, "db").unwrap();
+        let cache = std::fs::read(dir.join("db.cache0")).unwrap();
+        (dir, cache)
+    })
+}
+
+/// Every (feature, bucket) pair a store visits, in visiting order.
+fn buckets_of(visit: impl FnOnce(&mut dyn FnMut(u32, &[Location]))) -> Vec<(u32, Vec<Location>)> {
+    let mut out = Vec::new();
+    visit(&mut |feature, bucket| out.push((feature, bucket.to_vec())));
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn condensed_index_matches_host_table(
+        shared in 2usize..12,
+        extra in 0usize..150,
+        seed in any::<u64>(),
+        shuffled in any::<bool>(),
+        split_one in any::<bool>(),
+        lens in vec(1usize..6, 200..201),
+    ) {
+        let mut rng = seed;
+        let mut next = move || {
+            rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = rng;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        // The index size depends on the key count only: learn it, then
+        // pick features that collide on one home slot and on the last
+        // slot (their probes wrap past the end of the slot array).
+        let keys = 2 + 2 * shared + extra;
+        let probe = CondensedStore::from_buckets(
+            (0..keys as u32).map(|f| (f, [Location::new(0, 0)])),
+        )
+        .unwrap();
+        let slots = probe.slot_count();
+        let crowded = next() as usize % slots;
+        let mut features = std::collections::BTreeSet::from([0u32, u32::MAX]);
+        for home in [crowded, slots - 1] {
+            let mut found = 0;
+            while found < shared {
+                let f = next() as u32;
+                if probe.home_slot(f) == home && features.insert(f) {
+                    found += 1;
+                }
+            }
+        }
+        while features.len() < keys {
+            features.insert(next() as u32);
+        }
+        let buckets: Vec<(u32, Vec<Location>)> = features
+            .iter()
+            .zip(&lens)
+            .map(|(&f, &len)| {
+                let bucket = (0..len)
+                    .map(|_| Location::new(next() as u32 % 64, next() as u32 % 1000))
+                    .collect();
+                (f, bucket)
+            })
+            .collect();
+        let mut pushed = buckets.clone();
+        if shuffled {
+            pushed.sort_by_key(|(f, _)| f.wrapping_mul(0x9E37_79B9));
+        }
+        if split_one {
+            // One feature's bucket arrives in two pieces, apart.
+            let (f, mut first) = pushed.remove(0);
+            let rest = first.split_off(first.len().div_ceil(2));
+            pushed.insert(0, (f, first));
+            pushed.push((f, rest));
+        }
+        let host = HostHashTable::new(HostTableConfig::default());
+        for (f, bucket) in &buckets {
+            for &loc in bucket {
+                host.insert(*f, loc).unwrap();
+            }
+        }
+        let store = CondensedStore::from_buckets(pushed).unwrap();
+        prop_assert_eq!(store.slot_count(), slots);
+        let at = |home: usize| features.iter().filter(|&&f| store.home_slot(f) == home).count();
+        prop_assert!(at(crowded) >= shared && at(slots - 1) >= shared);
+
+        prop_assert_eq!(store.key_count(), host.key_count());
+        prop_assert_eq!(store.value_count(), host.value_count());
+        let mut queries: Vec<u32> = features.iter().copied().collect();
+        queries.extend((0..keys).map(|_| next() as u32));
+        queries.extend([1, u32::MAX - 1]);
+        for &f in &queries {
+            prop_assert_eq!(store.query(f), host.query(f), "feature {}", f);
+        }
+        // Batches cross chunk boundaries and repeat features.
+        queries.sort_by_key(|f| f.wrapping_mul(0x2545_F491));
+        queries.extend_from_within(..queries.len() / 3);
+        let (mut got, mut want) = (vec![Location::new(9, 9)], vec![Location::new(9, 9)]);
+        prop_assert_eq!(
+            store.query_batch_into(&queries, &mut got),
+            host.query_batch_into(&queries, &mut want)
+        );
+        prop_assert_eq!(got, want);
+
+        let visited = buckets_of(|f| store.for_each_bucket(f));
+        prop_assert_eq!(&visited, &buckets_of(|f| host.for_each_bucket(f)));
+        prop_assert_eq!(&visited, &buckets);
+        let thawed = store.thaw(254);
+        prop_assert_eq!(&buckets_of(|f| thawed.for_each_bucket(f)), &buckets);
+    }
+
+    #[test]
+    fn corrupt_cache_files_never_crash_the_loader(
+        truncate in any::<bool>(),
+        cut in any::<usize>(),
+        flips in vec((any::<usize>(), 0u8..8), 0..8),
+    ) {
+        let (dir, valid) = saved_shared_database();
+        let mut bytes = valid.clone();
+        for (at, bit) in flips {
+            bytes[at % valid.len()] ^= 1 << bit;
+        }
+        if truncate {
+            bytes.truncate(cut % valid.len());
+        }
+        std::fs::write(dir.join("db.cache0"), &bytes).unwrap();
+        let loaded = serialize::load(dir, "db");
+        prop_assert!(
+            matches!(loaded, Ok(_) | Err(MetaCacheError::Format(_)) | Err(MetaCacheError::Io(_))),
+            "unexpected result: {:?}",
+            loaded.err()
+        );
+    }
 
     #[test]
     fn encoded_sequence_roundtrips(seq in dna(600)) {
