@@ -202,16 +202,9 @@ impl CondensedStore {
     /// location order is preserved, so queries against the thawed table are
     /// bit-identical to queries against the condensed store.
     pub fn thaw(&self, max_locations_per_key: usize) -> HostHashTable {
-        let config = HostTableConfig {
+        let table = HostHashTable::new(HostTableConfig {
             max_locations_per_key,
             ..Default::default()
-        };
-        // Sized so the thawed keys fit without a rehash.
-        let table = HostHashTable::new(HostTableConfig {
-            initial_capacity: config
-                .initial_capacity
-                .max((self.keys as f64 / config.max_load_factor) as usize + 1),
-            ..config
         });
         for &Slot { feature, bucket } in self.slots.iter().filter(|s| s.bucket != 0) {
             for &location in self.bucket(bucket) {
@@ -422,18 +415,19 @@ impl PartitionStore {
         };
         match self {
             PartitionStore::MultiBucket(table) => {
-                // A key's values are scattered over several slots; gather
-                // them per key first.
-                let mut buckets: std::collections::BTreeMap<Feature, Vec<Location>> =
-                    Default::default();
-                table.for_each_slot(|feature, locations| {
-                    buckets
-                        .entry(feature)
-                        .or_default()
-                        .extend_from_slice(locations);
-                });
-                for (feature, bucket) in &buckets {
-                    visit(*feature, bucket);
+                // A key's values are scattered over several slots, and its
+                // slots may hold more than the key limit; export exactly
+                // what a query answers (probe order, capped).
+                let mut features = Vec::with_capacity(table.key_count());
+                table.for_each_slot(|feature, _| features.push(feature));
+                features.sort_unstable();
+                features.dedup();
+                let mut bucket = Vec::new();
+                for feature in features {
+                    bucket.clear();
+                    if table.query_into(feature, &mut bucket) > 0 {
+                        visit(feature, &bucket);
+                    }
                 }
             }
             PartitionStore::Host(table) => table.for_each_bucket(visit),

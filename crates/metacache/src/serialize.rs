@@ -299,6 +299,54 @@ mod tests {
     }
 
     #[test]
+    fn gpu_built_hot_feature_roundtrips() {
+        // A repetitive reference puts some features in far more windows
+        // than the cap. The multi-bucket table may store a few values past
+        // the cap (it checks whole slots), but only the capped answer may
+        // be saved: the loader rejects longer buckets.
+        let system = mc_gpu_sim::MultiGpuSystem::dgx1(1);
+        let config = MetaCacheConfig::for_tests();
+        let repetitive: Vec<u8> = make_seq(500, 3)
+            .iter()
+            .cycle()
+            .take(200_000)
+            .copied()
+            .collect();
+        let records = vec![SequenceRecord::new("rep", repetitive)];
+        let expected = crate::build::estimate_locations(&config, &records);
+        let (db, _) = build_db();
+        let mut builder =
+            crate::build::GpuBuilder::new(config, db.taxonomy.clone(), &system, expected).unwrap();
+        builder.add_records(records, |_| 100).unwrap();
+        let db = builder.finish();
+        let PartitionStore::MultiBucket(table) = &db.partitions[0].store else {
+            panic!("a GPU build yields multi-bucket partitions");
+        };
+        let mut stored = std::collections::BTreeMap::<Feature, usize>::new();
+        table.for_each_slot(|feature, bucket| *stored.entry(feature).or_default() += bucket.len());
+        assert!(
+            stored
+                .values()
+                .any(|&n| n > config.max_locations_per_feature),
+            "the reference must overfill some key"
+        );
+
+        let dir = temp_dir("gpu_hot");
+        save(&db, &dir, "db").unwrap();
+        let loaded = load(&dir, "db").unwrap();
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        for &feature in stored.keys() {
+            want.clear();
+            got.clear();
+            db.partitions[0].query_into(feature, &mut want);
+            loaded.partitions[0].query_into(feature, &mut got);
+            assert!(want.len() <= config.max_locations_per_feature);
+            assert_eq!(want, got, "feature {feature}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn loading_missing_or_corrupt_files_errors() {
         let dir = temp_dir("corrupt");
         assert!(load(&dir, "missing").is_err());

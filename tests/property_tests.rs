@@ -72,16 +72,32 @@ fn shared_database() -> (&'static Database, &'static [Vec<u8>]) {
     (db, genomes)
 }
 
-/// The `.cache0` bytes of [`shared_database`] saved to disk, with the
-/// directory holding its `.meta`.
-fn saved_shared_database() -> &'static (std::path::PathBuf, Vec<u8>) {
+/// A directory of this process's own, removed when dropped.
+struct ScratchDir(std::path::PathBuf);
+
+impl ScratchDir {
+    fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("mc_prop_{tag}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        Self(dir)
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
+/// The `.meta` and `.cache0` bytes of [`shared_database`] as saved to disk.
+fn saved_shared_database() -> &'static (Vec<u8>, Vec<u8>) {
     use std::sync::OnceLock;
-    static SAVED: OnceLock<(std::path::PathBuf, Vec<u8>)> = OnceLock::new();
+    static SAVED: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
     SAVED.get_or_init(|| {
-        let dir = std::env::temp_dir().join("mc_prop_corrupt_cache");
-        serialize::save(shared_database().0, &dir, "db").unwrap();
-        let cache = std::fs::read(dir.join("db.cache0")).unwrap();
-        (dir, cache)
+        let dir = ScratchDir::new("saved_db");
+        serialize::save(shared_database().0, &dir.0, "db").unwrap();
+        let read = |file: &str| std::fs::read(dir.0.join(file)).unwrap();
+        (read("db.meta"), read("db.cache0"))
     })
 }
 
@@ -198,7 +214,7 @@ proptest! {
         cut in any::<usize>(),
         flips in vec((any::<usize>(), 0u8..8), 0..8),
     ) {
-        let (dir, valid) = saved_shared_database();
+        let (meta, valid) = saved_shared_database();
         let mut bytes = valid.clone();
         for (at, bit) in flips {
             bytes[at % valid.len()] ^= 1 << bit;
@@ -206,8 +222,10 @@ proptest! {
         if truncate {
             bytes.truncate(cut % valid.len());
         }
-        std::fs::write(dir.join("db.cache0"), &bytes).unwrap();
-        let loaded = serialize::load(dir, "db");
+        let dir = ScratchDir::new("corrupt_cache");
+        std::fs::write(dir.0.join("db.meta"), meta).unwrap();
+        std::fs::write(dir.0.join("db.cache0"), &bytes).unwrap();
+        let loaded = serialize::load(&dir.0, "db");
         prop_assert!(
             matches!(loaded, Ok(_) | Err(MetaCacheError::Format(_)) | Err(MetaCacheError::Io(_))),
             "unexpected result: {:?}",
